@@ -20,6 +20,7 @@
 #include <iostream>
 
 #include "blockforest/SetupBlockForest.h"
+#include "core/ParseNumber.h"
 #include "obs/FlightRecorder.h"
 #include "obs/PerfDiag.h"
 #include "obs/Report.h"
@@ -55,6 +56,12 @@ double gaugeAvg(const obs::ReducedMetrics& m, const std::string& name) {
     return it == m.gauges.end() ? 0.0 : it->second.avg();
 }
 
+/// Sum over ranks — for per-rank amounts such as bytes per exchange.
+double gaugeSum(const obs::ReducedMetrics& m, const std::string& name) {
+    auto it = m.gauges.find(name);
+    return it == m.gauges.end() ? 0.0 : it->second.sum;
+}
+
 void writeRunJson(obs::json::Writer& w, const RunRecord& r) {
     w.beginObject();
     w.kv("ranks", r.ranks).kv("steps", std::uint64_t(r.steps));
@@ -69,6 +76,7 @@ void writeRunJson(obs::json::Writer& w, const RunRecord& r) {
     w.kv("comm.hidden_seconds", gaugeAvg(r.metrics, "comm.hidden_seconds"));
     w.kv("comm.exposed_seconds", gaugeAvg(r.metrics, "comm.exposed_seconds"));
     w.kv("comm.hidden_fraction", gaugeAvg(r.metrics, "comm.hidden_fraction"));
+    w.kv("comm.local_copy_bytes", gaugeSum(r.metrics, "comm.local_copy_bytes"));
     w.kv("perf.predicted_mlups", gaugeAvg(r.metrics, "perf.predicted_mlups"));
     w.kv("perf.efficiency", gaugeAvg(r.metrics, "perf.efficiency"));
     // Zero unless a self-healing run published them; present so downstream
@@ -673,7 +681,7 @@ void modelCurve(const MachineSpec& machine, const NetworkParams& network,
 
 } // namespace
 
-int main(int argc, char** argv) {
+static int figureMain(int argc, char** argv) {
     std::printf("=== Figure 6: weak scaling on dense regular domains ===\n");
     const std::string metricsPath = obs::metricsJsonPathFromArgs(argc, argv);
 
@@ -764,4 +772,13 @@ int main(int argc, char** argv) {
                     root.at("runs").array().size());
     }
     return 0;
+}
+
+int main(int argc, char** argv) {
+    try {
+        return figureMain(argc, argv);
+    } catch (const ArgError& e) {
+        std::fprintf(stderr, "fig6_weak_dense: %s\n", e.what());
+        return 2;
+    }
 }

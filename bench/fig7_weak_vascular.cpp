@@ -18,6 +18,7 @@
 #include <fstream>
 
 #include "blockforest/ScalingSetup.h"
+#include "core/ParseNumber.h"
 #include "geometry/CoronaryTree.h"
 #include "obs/Report.h"
 #include "perf/Scaling.h"
@@ -173,9 +174,15 @@ RealRunRecord realRun(const geometry::DistanceFunction& phi, int ranks, bool ove
 
 } // namespace
 
-int main(int argc, char** argv) {
+static int figureMain(int argc, char** argv) {
     std::printf("=== Figure 7: weak scaling with the vascular geometry ===\n");
     const std::string metricsPath = obs::metricsJsonPathFromArgs(argc, argv);
+    // All option surfaces are parsed before any work: a malformed number
+    // fails fast with a usage error.
+    const rebalance::RebalanceOptions rbOpt =
+        rebalance::RebalanceOptions::fromArgs(argc, argv);
+    const recover::RecoveryOptions rcOpt = recover::RecoveryOptions::fromArgs(argc, argv);
+    const sim::CheckpointOptions ckptOpt = sim::CheckpointOptions::fromArgs(argc, argv);
     const auto tree = makeTree();
     const auto phi = tree.implicitDistance();
     std::printf("synthetic tree: %zu segments, bbox fluid fraction %.2f%%\n",
@@ -188,8 +195,6 @@ int main(int argc, char** argv) {
     // Rebalance drill (--rebalance-every N [--rebalance-policy ...]): skewed
     // 4-rank assignment, reference vs live-rebalanced run, digest-invariance
     // and imbalance trajectory — see bench/rebalance_drill.h.
-    const rebalance::RebalanceOptions rbOpt =
-        rebalance::RebalanceOptions::fromArgs(argc, argv);
     if (rbOpt.any()) {
         const int drillRanks = 4;
         auto search = bf::findWeakScalingPartition(*phi, AABB(0, 0, 0, 1, 1, 1),
@@ -226,7 +231,6 @@ int main(int argc, char** argv) {
     // Self-healing drill (--recover [--kill-rank R] [--kill-step S] ...):
     // reference vs kill-and-heal vs transient-faults runs on a 4-rank
     // vascular partition — see bench/recovery_drill.h.
-    const recover::RecoveryOptions rcOpt = recover::RecoveryOptions::fromArgs(argc, argv);
     if (rcOpt.enabled) {
         int killRank = 2;
         std::uint64_t killStep = 13;
@@ -277,7 +281,6 @@ int main(int argc, char** argv) {
     std::vector<RealRunRecord> records;
     // Under a checkpoint/restart drill only the largest world runs (the
     // checkpoint file is per-invocation; three worlds would clobber it).
-    const sim::CheckpointOptions ckptOpt = sim::CheckpointOptions::fromArgs(argc, argv);
     if (ckptOpt.any())
         records.push_back(realRun(*phi, 8, overlap, ckptOpt));
     else
@@ -331,6 +334,12 @@ int main(int argc, char** argv) {
                 };
                 w.kv("perf.predicted_mlups", gaugeAvg("perf.predicted_mlups"));
                 w.kv("perf.efficiency", gaugeAvg("perf.efficiency"));
+                // Bytes the same-rank ghost copies move per exchange, summed
+                // over ranks.
+                const auto localCopy = r.metrics.gauges.find("comm.local_copy_bytes");
+                w.kv("comm.local_copy_bytes", localCopy == r.metrics.gauges.end()
+                                                  ? 0.0
+                                                  : localCopy->second.sum);
                 // Zero outside a --recover drill; present so downstream
                 // gates can --require the key family unconditionally.
                 w.kv("recover.attempts", gaugeAvg("recover.attempts"));
@@ -359,4 +368,13 @@ int main(int argc, char** argv) {
         std::printf("\nwrote metrics JSON: %s\n", metricsPath.c_str());
     }
     return 0;
+}
+
+int main(int argc, char** argv) {
+    try {
+        return figureMain(argc, argv);
+    } catch (const ArgError& e) {
+        std::fprintf(stderr, "fig7_weak_vascular: %s\n", e.what());
+        return 2;
+    }
 }

@@ -13,6 +13,7 @@
 ///    baseline for the communication-volume ablation benchmark.
 
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -95,18 +96,47 @@ RunGhostReach runGhostReach(bool yLo, bool yHi, bool zLo, bool zHi,
     return r;
 }
 
-/// PDFs of model M that stream across an interface with normal direction d:
-/// every axis on which d is nonzero must match the PDF velocity component.
+/// The populations of model M that stream across one block interface, as a
+/// fixed-capacity list (no allocation; iterable with range-for).
+template <LatticeModel M>
+struct CommDirSet {
+    std::array<std::uint8_t, M::Q> dirs{};
+    std::uint8_t count = 0;
+    constexpr const std::uint8_t* begin() const { return dirs.data(); }
+    constexpr const std::uint8_t* end() const { return dirs.data() + count; }
+    constexpr std::size_t size() const { return count; }
+    constexpr bool empty() const { return count == 0; }
+};
+
+/// Per-direction population sets, indexed by dirIndex26: a population
+/// crosses the interface with normal d iff every axis on which d is nonzero
+/// matches its velocity component (the rest population never crosses).
+template <LatticeModel M>
+inline constexpr std::array<CommDirSet<M>, 26> commDirTable = [] {
+    std::array<CommDirSet<M>, 26> table{};
+    for (std::size_t i = 0; i < 26; ++i) {
+        const auto& d = neighborhood26[i];
+        for (uint_t a = 0; a < M::Q; ++a) {
+            bool ok = !(M::c[a][0] == 0 && M::c[a][1] == 0 && M::c[a][2] == 0);
+            for (std::size_t j = 0; j < 3; ++j)
+                if (d[j] != 0 && M::c[a][j] != d[j]) ok = false;
+            if (ok) table[i].dirs[table[i].count++] = std::uint8_t(a);
+        }
+    }
+    return table;
+}();
+
+/// PDFs of model M that stream across an interface with normal direction d.
+template <LatticeModel M>
+constexpr const CommDirSet<M>& commDirs(const std::array<int, 3>& d) {
+    return commDirTable<M>[dirIndex26(d)];
+}
+
+/// commDirs as a vector — for callers that want to own the list.
 template <LatticeModel M>
 std::vector<uint_t> commDirections(const std::array<int, 3>& d) {
-    std::vector<uint_t> result;
-    for (uint_t a = 0; a < M::Q; ++a) {
-        bool ok = true;
-        for (int i = 0; i < 3; ++i)
-            if (d[std::size_t(i)] != 0 && M::c[a][std::size_t(i)] != d[std::size_t(i)]) ok = false;
-        if (ok && !(M::c[a][0] == 0 && M::c[a][1] == 0 && M::c[a][2] == 0)) result.push_back(a);
-    }
-    return result;
+    const auto& set = commDirs<M>(d);
+    return std::vector<uint_t>(set.begin(), set.end());
 }
 
 /// Interior slice a block sends toward neighbor direction d.
@@ -140,14 +170,13 @@ CellInterval recvInterval(const field::Field<T>& f, const std::array<int, 3>& d)
     return ci;
 }
 
-namespace detail {
+/// All populations of model M — the full-set ablation's "direction set".
 template <LatticeModel M>
-std::vector<uint_t> allDirections() {
-    std::vector<uint_t> all;
-    for (uint_t a = 0; a < M::Q; ++a) all.push_back(a);
+inline constexpr CommDirSet<M> allDirs = [] {
+    CommDirSet<M> all{};
+    for (uint_t a = 0; a < M::Q; ++a) all.dirs[all.count++] = std::uint8_t(a);
     return all;
-}
-} // namespace detail
+}();
 
 /// Serializes the PDFs streaming toward neighbor direction d into buf.
 ///
@@ -159,8 +188,7 @@ template <LatticeModel M>
 void packPdfs(const PdfField& f, const std::array<int, 3>& d, SendBuffer& buf,
               bool fullPdfSet = false) {
     const CellInterval ci = sendInterval(f, d);
-    const std::vector<uint_t> dirs =
-        fullPdfSet ? detail::allDirections<M>() : commDirections<M>(d);
+    const CommDirSet<M>& dirs = fullPdfSet ? allDirs<M> : commDirs<M>(d);
     if (dirs.empty()) return;
     const std::size_t rowBytes =
         std::size_t(ci.max().x - ci.min().x + 1) * sizeof(real_t);
@@ -193,8 +221,7 @@ void unpackPdfs(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf,
     // The sender packed toward direction -d from its perspective; the PDF
     // subset is determined by the *sender's* direction.
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    const std::vector<uint_t> dirs =
-        fullPdfSet ? detail::allDirections<M>() : commDirections<M>(senderDir);
+    const CommDirSet<M>& dirs = fullPdfSet ? allDirs<M> : commDirs<M>(senderDir);
     if (dirs.empty()) return;
     const std::size_t rowBytes =
         std::size_t(ci.max().x - ci.min().x + 1) * sizeof(real_t);
@@ -228,7 +255,7 @@ void copyPdfsLocal(const PdfField& from, PdfField& to, const std::array<int, 3>&
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
     const CellInterval srcCi = sendInterval(from, senderDir);
     const CellInterval dstCi = recvInterval(to, d);
-    const std::vector<uint_t> dirs = commDirections<M>(senderDir);
+    const CommDirSet<M>& dirs = commDirs<M>(senderDir);
     if (dirs.empty()) return;
 
     WALB_DASSERT(srcCi.numCells() == dstCi.numCells());
@@ -406,7 +433,7 @@ inline void copySlice(const PdfField& from, cell_idx_t fromSlot, const CellInter
 template <LatticeModel M>
 void packPdfsAaForward(const PdfField& f, const std::array<int, 3>& d, SendBuffer& buf) {
     const CellInterval ci = sendInterval(f, d);
-    for (uint_t a : commDirections<M>(d))
+    for (uint_t a : commDirs<M>(d))
         detail::packSlice(f, ci, cell_idx_c(M::inv[a]), buf);
 }
 
@@ -415,7 +442,7 @@ template <LatticeModel M>
 void unpackPdfsAaForward(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf) {
     const CellInterval ci = recvInterval(f, d);
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    for (uint_t a : commDirections<M>(senderDir))
+    for (uint_t a : commDirs<M>(senderDir))
         detail::unpackSlice(f, ci, cell_idx_c(M::inv[a]), buf);
 }
 
@@ -424,7 +451,7 @@ void unpackPdfsAaForward(PdfField& f, const std::array<int, 3>& d, RecvBuffer& b
 template <LatticeModel M>
 void packPdfsAaReverse(const PdfField& f, const std::array<int, 3>& d, SendBuffer& buf) {
     const CellInterval base = recvInterval(f, d);
-    for (uint_t a : commDirections<M>(d))
+    for (uint_t a : commDirs<M>(d))
         detail::packSlice(f, aaReverseTrim<M>(base, d, a), cell_idx_c(a), buf);
 }
 
@@ -435,7 +462,7 @@ template <LatticeModel M>
 void unpackPdfsAaReverse(PdfField& f, const std::array<int, 3>& d, RecvBuffer& buf) {
     const CellInterval base = sendInterval(f, d);
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
-    for (uint_t a : commDirections<M>(senderDir))
+    for (uint_t a : commDirs<M>(senderDir))
         detail::unpackSlice(f, aaReverseTrim<M>(base, d, a), cell_idx_c(a), buf);
 }
 
@@ -447,7 +474,7 @@ void aaCopyPdfsLocalForward(const PdfField& from, PdfField& to, const std::array
     const std::array<int, 3> senderDir = {-d[0], -d[1], -d[2]};
     const CellInterval srcCi = sendInterval(from, senderDir);
     const CellInterval dstCi = recvInterval(to, d);
-    for (uint_t a : commDirections<M>(senderDir))
+    for (uint_t a : commDirs<M>(senderDir))
         detail::copySlice(from, cell_idx_c(M::inv[a]), srcCi, to, cell_idx_c(M::inv[a]),
                           dstCi);
 }
@@ -460,7 +487,7 @@ void aaCopyPdfsLocalReverse(const PdfField& from, PdfField& to, const std::array
     const CellInterval srcBase = recvInterval(from, d);
     const std::array<int, 3> back = {-d[0], -d[1], -d[2]};
     const CellInterval dstBase = sendInterval(to, back);
-    for (uint_t a : commDirections<M>(d))
+    for (uint_t a : commDirs<M>(d))
         detail::copySlice(from, cell_idx_c(a), aaReverseTrim<M>(srcBase, d, a), to,
                           cell_idx_c(a), aaReverseTrim<M>(dstBase, d, a));
 }
@@ -482,7 +509,7 @@ template <LatticeModel M>
 std::size_t packedBytes(const PdfField& f, const std::array<int, 3>& d,
                         bool fullPdfSet = false) {
     const CellInterval ci = sendInterval(f, d);
-    const std::size_t nd = fullPdfSet ? M::Q : commDirections<M>(d).size();
+    const std::size_t nd = fullPdfSet ? M::Q : commDirs<M>(d).size();
     return ci.numCells() * nd * sizeof(real_t);
 }
 

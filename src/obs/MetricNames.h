@@ -32,6 +32,7 @@
     X("comm.finish_seconds")            \
     X("comm.hidden_fraction")           \
     X("comm.hidden_seconds")            \
+    X("comm.local_copy_bytes")          \
     X("comm.messagesReceived")          \
     X("comm.messagesSent")              \
     X("health.mass_drift")              \

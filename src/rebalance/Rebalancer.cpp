@@ -2,6 +2,7 @@
 
 #include "core/Debug.h"
 #include "core/Logging.h"
+#include "core/ParseNumber.h"
 #include "rebalance/Migrator.h"
 #include "sim/DistributedSimulation.h"
 
@@ -108,13 +109,14 @@ RebalanceOptions RebalanceOptions::fromArgs(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         std::string v;
         if (!(v = valueOf("--rebalance-every", i)).empty())
-            opt.every = std::stoull(v);
+            opt.every = parseNumber<std::uint64_t>("--rebalance-every", v);
         else if (!(v = valueOf("--rebalance-policy", i)).empty())
             opt.policy = v;
         else if (!(v = valueOf("--imbalance-threshold", i)).empty())
-            opt.imbalanceThreshold = std::stod(v);
+            opt.imbalanceThreshold =
+                parseNumber<double>("--imbalance-threshold", v, /*allowNegative=*/false);
         else if (!(v = valueOf("--rebalance-max-moves", i)).empty())
-            opt.maxMoves = std::uint32_t(std::stoul(v));
+            opt.maxMoves = parseNumber<std::uint32_t>("--rebalance-max-moves", v);
     }
     return opt;
 }

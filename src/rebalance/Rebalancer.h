@@ -46,6 +46,7 @@ struct RebalanceOptions {
     std::uint32_t maxMoves = 8;
 
     bool any() const { return every > 0; }
+    /// Throws ArgError naming the flag on a malformed or out-of-range number.
     static RebalanceOptions fromArgs(int argc, char** argv);
 };
 

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "core/Logging.h"
+#include "core/ParseNumber.h"
 #include "rebalance/Policy.h"
 
 namespace walb::recover {
@@ -42,11 +43,12 @@ RecoveryOptions RecoveryOptions::fromArgs(int argc, char** argv) {
         if (std::string(argv[i]) == "--recover")
             opt.enabled = true;
         else if (!(v = valueOf("--buddy-every", i)).empty())
-            opt.buddyEvery = std::stoull(v);
+            opt.buddyEvery = parseNumber<std::uint64_t>("--buddy-every", v);
         else if (!(v = valueOf("--agree-timeout-ms", i)).empty())
-            opt.agreeTimeout = std::chrono::milliseconds(std::stoll(v));
+            opt.agreeTimeout = std::chrono::milliseconds(
+                parseNumber<long long>("--agree-timeout-ms", v, /*allowNegative=*/false));
         else if (!(v = valueOf("--max-recoveries", i)).empty())
-            opt.maxRecoveries = std::stoi(v);
+            opt.maxRecoveries = parseNumber<int>("--max-recoveries", v, /*allowNegative=*/false);
         else if (!(v = valueOf("--recover-disk-fallback", i)).empty())
             opt.diskFallback = v;
     }

@@ -73,6 +73,7 @@ struct RecoveryOptions {
     int agreeMaxAttempts = 2;
     std::string diskFallback;
 
+    /// Throws ArgError naming the flag on a malformed or out-of-range number.
     static RecoveryOptions fromArgs(int argc, char** argv);
 };
 

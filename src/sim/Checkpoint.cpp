@@ -6,6 +6,7 @@
 #include "core/BinaryIO.h"
 #include "core/Crc32.h"
 #include "core/Logging.h"
+#include "core/ParseNumber.h"
 #include "sim/DistributedSimulation.h"
 
 namespace walb::sim {
@@ -281,9 +282,10 @@ std::uint64_t checkpointDigest(DistributedSimulation& sim) {
     for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b) {
         const lbm::PdfField& pdf = sim.canonicalPdfField(b);
         // Interior cells only: ghost slots are transient exchange scratch
-        // (refilled from neighbor interiors every step), so hashing them
-        // would make the digest depend on exchange history rather than on
-        // the physical state. Interior-only hashing is what lets a block
+        // (refilled from neighbor interiors where a sweep reads them; the
+        // rest may keep stale values), so hashing them would make the
+        // digest depend on exchange history rather than on the physical
+        // state. Interior-only hashing is what lets a block
         // migration — which moves interiors and re-fills ghosts — be
         // digest-invariant. The AA tiers hash the parity-normalized
         // canonical view for the same reason: raw AA storage depends on the
@@ -314,15 +316,15 @@ CheckpointOptions CheckpointOptions::fromArgs(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         std::string v;
         if (!(v = valueOf("--checkpoint-every", i)).empty())
-            opt.every = std::stoull(v);
+            opt.every = parseNumber<std::uint64_t>("--checkpoint-every", v);
         else if (!(v = valueOf("--checkpoint-path", i)).empty())
             opt.path = v;
         else if (!(v = valueOf("--restart-from", i)).empty())
             opt.restartFrom = v;
         else if (!(v = valueOf("--stop-after", i)).empty())
-            opt.stopAfter = std::stoull(v);
+            opt.stopAfter = parseNumber<std::uint64_t>("--stop-after", v);
         else if (!(v = valueOf("--steps", i)).empty())
-            opt.steps = std::stoull(v);
+            opt.steps = parseNumber<std::uint64_t>("--steps", v);
     }
     return opt;
 }

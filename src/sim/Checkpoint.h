@@ -96,9 +96,10 @@ int applyBlockRecord(DistributedSimulation& sim, RecvBuffer& rb,
 /// Collective: order-independent fingerprint of the physical PDF state
 /// (sum over blocks of each block's interior-cell CRC32, allreduced).
 /// Interior cells are the complete physical state — ghost slots are
-/// exchange scratch refilled from neighbor interiors every step — so two
-/// runs with equal digests have bit-exact equal fields everywhere that is
-/// ever read, and the digest is invariant across a rebalance migration
+/// exchange scratch, refilled from neighbor interiors where a sweep reads
+/// them (slots no fluid cell reads may keep stale values) — so two runs
+/// with equal digests have bit-exact equal fields everywhere that is ever
+/// read, and the digest is invariant across a rebalance migration
 /// (which moves interiors and re-fills ghosts). AA tiers are hashed through
 /// the canonical parity-normalized view, so the digest is also invariant
 /// under the AA storage parity; note it hashes zeros at non-fluid cells
@@ -126,6 +127,8 @@ struct CheckpointOptions {
         return every > 0 || !restartFrom.empty() || stopAfter > 0 || steps > 0;
     }
 
+    /// Throws ArgError (core/ParseNumber.h) naming the flag on a malformed
+    /// or out-of-range number.
     static CheckpointOptions fromArgs(int argc, char** argv);
 };
 

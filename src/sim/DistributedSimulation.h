@@ -5,10 +5,11 @@
 /// it by the setup/load-balancing phase, allocates PDF/flag fields for
 /// those blocks only, and advances the canonical time step:
 ///
-///   1. ghost-layer PDF exchange — block-to-block copies for local
-///      neighbors ("fast local communication"), packed BufferSystem
-///      messages for remote ones, direction-sliced to the 5/1/0 PDFs that
-///      actually cross each face/edge/corner;
+///   1. ghost-layer PDF exchange — block-to-block copies of the slots a
+///      fluid cell reads for local neighbors ("fast local communication",
+///      lbm/GhostCopyPlan.h), packed BufferSystem messages for remote
+///      ones, direction-sliced to the 5/1/0 PDFs that actually cross each
+///      face/edge/corner;
 ///   2. boundary handling per block;
 ///   3. fused stream-pull-collide sweep over the fluid intervals;
 ///   4. src/dst swap.
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 
 #include "blockforest/BlockForest.h"
 #include "core/BinaryIO.h"
@@ -27,6 +29,7 @@
 #include "core/Timer.h"
 #include "lbm/Boundary.h"
 #include "lbm/Communication.h"
+#include "lbm/GhostCopyPlan.h"
 #include "lbm/KernelAa.h"
 #include "lbm/KernelAaSimd.h"
 #include "lbm/KernelD3Q19Simd.h"
@@ -57,11 +60,21 @@ public:
     /// ghost pushes travel back to the interior cells that own them). The
     /// driver re-selects the mode before every exchange from its step
     /// parity.
-    enum class ExchangeMode : std::uint8_t { TwoGrid = 0, AaForward = 1, AaReverse = 2 };
+    using ExchangeMode = lbm::GhostExchangeMode;
+
+    /// Where the scheme finds each block's fluid cells: the flag field's
+    /// block-data id and the fluid mask. With it, local copies move only
+    /// the slots a receiving fluid cell reads (lbm/GhostCopyPlan.h);
+    /// without it, the full direction-sliced slices.
+    struct FluidFlags {
+        bf::BlockForest::BlockDataID flagId;
+        field::flag_t fluid;
+    };
 
     PdfCommScheme(bf::BlockForest& forest, vmpi::Comm& comm,
-                  bf::BlockForest::BlockDataID srcId, bool fullPdfSet = false)
-        : forest_(forest), comm_(comm), srcId_(srcId), fullPdfSet_(fullPdfSet),
+                  bf::BlockForest::BlockDataID srcId,
+                  std::optional<FluidFlags> fluidFlags = std::nullopt)
+        : forest_(forest), comm_(comm), srcId_(srcId), fluidFlags_(fluidFlags),
           bufferSystem_(comm, vmpi::tags::kGhostExchange) {
         bufferSystem_.setReceiverInfo(std::vector<int>(forest.neighborProcesses().begin(),
                                                        forest.neighborProcesses().end()));
@@ -72,43 +85,32 @@ public:
                     remoteSources_[{n.id, inverseDirIndex(n.dir)}] = b;
     }
 
-    /// Direct ghost copies between same-rank neighbor blocks. Pure local
-    /// memory traffic — no message leaves the rank — so the drivers account
-    /// it separately from the exposed communication time. Must complete
-    /// before any cell whose stencil reads a locally-backed ghost slice is
-    /// swept (such cells are *core* in the overlap split, so this runs
-    /// before the core sweep).
-    void setExchangeMode(ExchangeMode mode) {
-        WALB_ASSERT(mode == ExchangeMode::TwoGrid || !fullPdfSet_,
-                    "AA exchange modes are direction-sliced only");
-        mode_ = mode;
-    }
+    void setExchangeMode(ExchangeMode mode) { mode_ = mode; }
     ExchangeMode exchangeMode() const { return mode_; }
 
+    /// Direct ghost copies between same-rank neighbor blocks, run from the
+    /// current mode's copy plan. Pure local memory traffic — no message
+    /// leaves the rank — so the drivers account it separately from the
+    /// exposed communication time. Must complete before any cell whose
+    /// stencil reads a locally-backed ghost slice is swept (such cells are
+    /// *core* in the overlap split, so this runs before the core sweep).
     void copyLocalGhosts() {
-        const auto& blocks = forest_.blocks();
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            lbm::PdfField& src = forest_.getData<lbm::PdfField>(b, srcId_);
-            for (const auto& n : blocks[b].neighbors) {
-                if (n.localIndex < 0) continue;
-                lbm::PdfField& dst =
-                    forest_.getData<lbm::PdfField>(std::size_t(n.localIndex), srcId_);
-                if (mode_ == ExchangeMode::AaReverse) {
-                    // Ghost pushes of `src` toward n travel into the
-                    // neighbor's interior; n.dir is src -> neighbor.
-                    lbm::aaCopyPdfsLocalReverse<M>(src, dst, n.dir);
-                    continue;
-                }
-                // The neighbor's ghost slice facing us is in direction
-                // -n.dir from its perspective.
-                const std::array<int, 3> toMe = {-n.dir[0], -n.dir[1], -n.dir[2]};
-                if (mode_ == ExchangeMode::AaForward)
-                    lbm::aaCopyPdfsLocalForward<M>(src, dst, toMe);
-                else
-                    lbm::copyPdfsLocal<M>(src, dst, toMe);
-            }
-        }
+        copyPlan().execute([&](std::uint32_t b) -> lbm::PdfField& {
+            return forest_.getData<lbm::PdfField>(b, srcId_);
+        });
     }
+
+    /// The current mode's local copy plan, built on first use — once per
+    /// mode for the lifetime of this scheme (a migration or recovery
+    /// rebuilds the scheme, and with it the plans).
+    const lbm::GhostCopyPlan& copyPlan() {
+        std::optional<lbm::GhostCopyPlan>& plan = plans_[std::size_t(mode_)];
+        if (!plan) plan = buildCopyPlan(mode_);
+        return *plan;
+    }
+
+    /// Bytes the local copies move per exchange in the current mode.
+    std::size_t localCopyBytes() { return copyPlan().bytes(); }
 
     /// Packs one message per remote neighbor rank, ships them all and
     /// starts expecting the incoming ones — the network half of phase 1.
@@ -121,10 +123,10 @@ public:
                 if (n.localIndex >= 0) continue;
                 SendBuffer& buf = bufferSystem_.sendBuffer(int(n.process));
                 serializeBlockId(buf, blocks[b].id);
-                buf << std::uint8_t(dirIndex(n.dir));
+                buf << std::uint8_t(lbm::dirIndex26(n.dir));
                 switch (mode_) {
                     case ExchangeMode::TwoGrid:
-                        lbm::packPdfs<M>(src, n.dir, buf, fullPdfSet_);
+                        lbm::packPdfs<M>(src, n.dir, buf);
                         break;
                     case ExchangeMode::AaForward:
                         lbm::packPdfsAaForward<M>(src, n.dir, buf);
@@ -185,16 +187,34 @@ public:
     /// simulation's metrics counters.
     const vmpi::BufferSystem& bufferSystem() const { return bufferSystem_; }
 
-    static std::size_t dirIndex(const std::array<int, 3>& d) {
-        for (std::size_t i = 0; i < 26; ++i)
-            if (lbm::neighborhood26[i] == d) return i;
-        WALB_ABORT("invalid direction");
-    }
     static std::uint8_t inverseDirIndex(const std::array<int, 3>& d) {
-        return std::uint8_t(lbm::neighborhood26Inv[dirIndex(d)]);
+        return std::uint8_t(lbm::neighborhood26Inv[lbm::dirIndex26(d)]);
     }
 
 private:
+    /// One plan for `mode` over every same-rank neighbor pair. The loop
+    /// order (sender block, then its neighbor list) is the order of the
+    /// former slice-by-slice copies; the written slots of different links
+    /// are disjoint, so the order does not affect the result.
+    lbm::GhostCopyPlan buildCopyPlan(ExchangeMode mode) {
+        lbm::GhostCopyPlan plan;
+        const auto& blocks = forest_.blocks();
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            const lbm::PdfField& from = forest_.getData<lbm::PdfField>(b, srcId_);
+            for (const auto& n : blocks[b].neighbors) {
+                if (n.localIndex < 0) continue;
+                const auto to = std::size_t(n.localIndex);
+                const field::FlagField* toFlags =
+                    fluidFlags_ ? &forest_.getData<field::FlagField>(to, fluidFlags_->flagId)
+                                : nullptr;
+                plan.addLink<M>(mode, std::uint32_t(b), from, std::uint32_t(to),
+                                forest_.getData<lbm::PdfField>(to, srcId_), n.dir, toFlags,
+                                fluidFlags_ ? fluidFlags_->fluid : field::flag_t(0));
+            }
+        }
+        return plan;
+    }
+
     /// Unpacks one rank's ghost message into the ghost slices of the
     /// receiving blocks. A truncated or corrupted payload (BufferError)
     /// surfaces as CommError{Corrupt} naming the peer, exactly like a
@@ -219,7 +239,7 @@ private:
             const std::array<int, 3> d = {-sd[0], -sd[1], -sd[2]};
             switch (mode_) {
                 case ExchangeMode::TwoGrid:
-                    lbm::unpackPdfs<M>(dst, d, buf, fullPdfSet_);
+                    lbm::unpackPdfs<M>(dst, d, buf);
                     break;
                 case ExchangeMode::AaForward:
                     lbm::unpackPdfsAaForward<M>(dst, d, buf);
@@ -253,8 +273,9 @@ private:
     bf::BlockForest& forest_;
     vmpi::Comm& comm_;
     bf::BlockForest::BlockDataID srcId_;
-    bool fullPdfSet_;
+    std::optional<FluidFlags> fluidFlags_;
     ExchangeMode mode_ = ExchangeMode::TwoGrid;
+    std::array<std::optional<lbm::GhostCopyPlan>, 3> plans_; ///< by ExchangeMode
     vmpi::BufferSystem bufferSystem_;
     std::map<std::pair<bf::BlockID, std::uint8_t>, std::size_t> remoteSources_;
     std::size_t bytesLastExchange_ = 0;
@@ -607,6 +628,7 @@ public:
         obs::Counter& bytesRecv = metrics_.counter("comm.bytesReceived");
         obs::Counter& msgsSent = metrics_.counter("comm.messagesSent");
         obs::Counter& msgsRecv = metrics_.counter("comm.messagesReceived");
+        obs::Gauge& localCopyBytes = metrics_.gauge("comm.local_copy_bytes");
         obs::Histogram& stepSecondsHist = metrics_.histogram(
             "sim.step_seconds", obs::logHistogramEdges(1e-6, 10.0, 4));
         // Timer handles are stable for the pool's lifetime (node-based map),
@@ -634,6 +656,7 @@ public:
             bytesRecv.inc(bs.lastRecvBytes());
             msgsSent.inc(bs.lastSendMessages());
             msgsRecv.inc(bs.lastRecvMessages());
+            localCopyBytes.set(double(comm_scheme_->localCopyBytes()));
             steps.inc();
 
             obs::StepSample sample;
@@ -1147,7 +1170,8 @@ private:
                 return remote[lbm::dirIndex26(g)];
             });
         }
-        comm_scheme_ = std::make_unique<PdfCommScheme>(forest_, *comm_, srcId_);
+        comm_scheme_ = std::make_unique<PdfCommScheme>(
+            forest_, *comm_, srcId_, PdfCommScheme::FluidFlags{flagId_, masks_.fluid});
         syncExchangeMode();
         blockSweepSeconds_.assign(forest_.blocks().size(), 0.0);
 

@@ -17,6 +17,7 @@
 #include "core/BinaryIO.h"
 #include "core/Buffer.h"
 #include "core/Crc32.h"
+#include "core/ParseNumber.h"
 #include "sim/Checkpoint.h"
 #include "sim/DistributedSimulation.h"
 #include "sim/Health.h"
@@ -451,6 +452,27 @@ TEST(CheckpointOptionsTest, ParsesBothFlagStyles) {
     EXPECT_EQ(opt.steps, 30u);
     EXPECT_TRUE(opt.any());
     EXPECT_FALSE(sim::CheckpointOptions{}.any());
+}
+
+TEST(CheckpointOptionsTest, RejectsMalformedNumbersWithTypedError) {
+    auto parse = [](std::vector<const char*> args) {
+        args.insert(args.begin(), "prog");
+        return sim::CheckpointOptions::fromArgs(int(args.size()),
+                                                const_cast<char**>(args.data()));
+    };
+    for (const char* bad : {"abc", "-3", "12x", "99999999999999999999999", "1e3"}) {
+        SCOPED_TRACE(std::string("value '") + bad + "'");
+        try {
+            parse({"--checkpoint-every", bad});
+            ADD_FAILURE() << "accepted";
+        } catch (const ArgError& e) {
+            EXPECT_NE(std::string(e.what()).find("--checkpoint-every"), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(parse({"--stop-after=zz"}), ArgError);
+    EXPECT_THROW(parse({"--steps", "-1"}), ArgError);
+    EXPECT_EQ(parse({"--steps", "18446744073709551615"}).steps, 18446744073709551615ull);
 }
 
 // ---- health guards ---------------------------------------------------------

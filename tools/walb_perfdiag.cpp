@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "core/ParseNumber.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Json.h"
 #include "obs/PerfDiag.h"
@@ -382,7 +383,14 @@ int checkArtifact(int argc, char** argv) {
                 return 2;
             }
             const std::string path = spec.substr(0, eq);
-            const double bound = std::stod(spec.substr(eq + 1));
+            // Bounds may be negative (metrics can be); they must be finite.
+            double bound = 0;
+            try {
+                bound = parseNumber<double>(arg, spec.substr(eq + 1));
+            } catch (const ArgError& e) {
+                std::fprintf(stderr, "walb_perfdiag: %s\n", e.what());
+                return 2;
+            }
             double v = 0;
             if (!number(path, v)) {
                 std::printf("FAIL %s %s (missing or non-numeric)\n", arg.c_str() + 2,
@@ -417,7 +425,12 @@ int compareArtifacts(int argc, char** argv) {
     for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--tol-rel" && i + 1 < argc) {
-            defaultTol = std::stod(argv[++i]);
+            try {
+                defaultTol = parseNumber<double>(arg, argv[++i], /*allowNegative=*/false);
+            } catch (const ArgError& e) {
+                std::fprintf(stderr, "walb_perfdiag: %s\n", e.what());
+                return 2;
+            }
         } else if (arg == "--key" && i + 1 < argc) {
             std::string spec = argv[++i];
             double tol = -1;
@@ -425,13 +438,9 @@ int compareArtifacts(int argc, char** argv) {
             // PATH:R only when the suffix parses as a number (metric names
             // never contain ':').
             if (colon != std::string::npos) {
-                try {
-                    std::size_t used = 0;
-                    tol = std::stod(spec.substr(colon + 1), &used);
-                    if (used == spec.size() - colon - 1) spec = spec.substr(0, colon);
-                    else tol = -1;
-                } catch (...) {
-                    tol = -1;
+                if (const auto t = tryParseNumber<double>(spec.substr(colon + 1), false)) {
+                    tol = *t;
+                    spec = spec.substr(0, colon);
                 }
             }
             keys.emplace_back(spec, tol);
@@ -639,6 +648,26 @@ int selftest() {
         if (checkArtifact(5, argvCheckBad) == 0) {
             std::fprintf(stderr, "walb_perfdiag: selftest check passed a bad artifact\n");
             return 1;
+        }
+        // Malformed numbers are usage errors (exit 2), never an abort.
+        for (const char* spec : {"gauges.sim.mlups=bar", "gauges.sim.mlups=1e999",
+                                 "gauges.sim.mlups=nan", "gauges.sim.mlups=5x"}) {
+            char* argvMalformed[] = {(char*)"walb_perfdiag", (char*)"check",
+                                     (char*)basePath.c_str(), (char*)"--max", (char*)spec};
+            if (checkArtifact(5, argvMalformed) != 2) {
+                std::fprintf(stderr, "walb_perfdiag: selftest check accepted '%s'\n", spec);
+                return 1;
+            }
+        }
+        for (const char* tol : {"zz", "-0.5", "1e999"}) {
+            char* argvTol[] = {(char*)"walb_perfdiag", (char*)"compare",
+                               (char*)basePath.c_str(), (char*)goodPath.c_str(),
+                               (char*)"--tol-rel", (char*)tol};
+            if (compareArtifacts(6, argvTol) != 2) {
+                std::fprintf(stderr, "walb_perfdiag: selftest compare accepted --tol-rel "
+                                     "'%s'\n", tol);
+                return 1;
+            }
         }
     }
 
