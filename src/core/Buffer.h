@@ -115,6 +115,14 @@ public:
         detail::putLE(data_.data() + off, v, nBytes);
     }
 
+    /// Rewrites `nBytes` already appended at `offset` with putCompact's
+    /// encoding — back-fills a checksum that precedes the bytes it covers.
+    void patchCompact(std::size_t offset, std::uint64_t v, unsigned nBytes) {
+        WALB_ASSERT(nBytes <= 8 && offset + nBytes <= data_.size(),
+                    "patch of " << nBytes << " bytes at " << offset << " past the end");
+        detail::putLE(data_.data() + offset, v, nBytes);
+    }
+
     template <detail::TriviallySerializable T>
     SendBuffer& operator<<(const T& v) {
         if constexpr (std::is_same_v<T, bool>) {

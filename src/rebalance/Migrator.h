@@ -6,24 +6,25 @@
 ///
 /// Protocol (collective; every rank derives the identical move list from
 /// the old/new owner vectors, so no negotiation messages are needed):
-///   1. pack each departing block into one tagged message per destination
-///      rank: BlockID + the interiors of both PDF buffers and the flag
-///      field, CRC-protected. Interiors are the complete physical state —
-///      ghost layers are exchange scratch that is re-filled afterwards;
-///   2. stash the full field contents of blocks that stay local;
-///   3. sends are buffered and non-blocking (vmpi contract), so the
+///   1. pack every local block as a checkpoint block record
+///      (sim/Checkpoint.h: BlockID, flag-field and payload CRCs, the
+///      canonical PDFs of the interior fluid cells) — departing blocks into
+///      one tagged message per destination rank, staying blocks into a
+///      local buffer;
+///   2. sends are buffered and non-blocking (vmpi contract), so the
 ///      structure can be rebuilt immediately: applyBlockAssignment()
-///      replaces the BlockForest, its per-block data and the BufferSystem
+///      replaces the BlockForest, its per-block data (flags re-derived —
+///      they are a pure function of global position) and the BufferSystem
 ///      exchange plan;
-///   4. restore stashed blocks, receive + CRC-verify + unpack incoming
-///      blocks (flag interiors are overlaid too, although the rebuilt
-///      fields already re-derived them — flags are a pure function of
-///      global position);
-///   5. one ghost-layer exchange re-fills the ghost layers under the new
+///   3. apply the staying records, then receive + verify + apply incoming
+///      ones. A malformed message (wrong block count, CRC or geometry
+///      mismatch, truncation, trailing bytes) throws
+///      vmpi::CommError{Corrupt} naming the sender;
+///   4. one ghost-layer exchange re-fills the ghost layers under the new
 ///      neighborhood plan.
 ///
-/// checkpointDigest() (interior-only by design) is invariant across
-/// migrate(): the bit pattern of every interior cell is preserved.
+/// checkpointDigest() hashes exactly the record payloads, so it is invariant
+/// across migrate().
 
 #include <cstdint>
 #include <vector>

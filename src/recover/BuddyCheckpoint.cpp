@@ -57,7 +57,7 @@ bool BuddyCheckpoint::restoreOwnBlocks(sim::DistributedSimulation& sim,
         std::uint64_t step = 0;
         rb >> rank >> step >> numBlocks;
         // Rewind the step counter before the first record is applied: the
-        // AA-tier restore scatters PDFs by the parity of the checkpointed
+        // AA tiers lay the payload out by the parity of the checkpointed
         // step. (The recovery manager's later rewind to the same step is a
         // no-op after this.)
         sim.setCurrentStep(step);
@@ -102,13 +102,8 @@ bool BuddyCheckpoint::partnerBlocks(std::vector<BlockRecord>& out,
         out.reserve(numBlocks);
         for (std::uint32_t b = 0; b < numBlocks; ++b) {
             const std::uint8_t* start = rb.cursor();
-            BlockRecord rec;
-            std::uint64_t pdfBytes = 0, flagBytes = 0;
-            std::uint32_t crc = 0;
-            rb >> rec.root >> rec.level >> rec.path >> pdfBytes >> flagBytes >> crc;
-            rb.skip(std::size_t(pdfBytes) + std::size_t(flagBytes));
-            rec.bytes.assign(start, rb.cursor());
-            out.push_back(std::move(rec));
+            const sim::BlockRecordId id = sim::skipBlockRecord(rb);
+            out.push_back({id, std::vector<std::uint8_t>(start, rb.cursor())});
         }
         return true;
     } catch (const BufferError& e) {

@@ -3,9 +3,9 @@
 /// In-memory buddy checkpointing: the rewind source of the self-healing
 /// runtime, with no disk round-trip.
 ///
-/// Every K steps each rank serializes its own blocks — the exact per-block
-/// wire format of the disk checkpoint v2 (BlockID, payload sizes, CRC32,
-/// full-allocation PDF + flag bytes; see sim/Checkpoint.h) — and exchanges
+/// Every K steps each rank serializes its own blocks — the block records of
+/// the disk checkpoint (BlockID, payload size, flag-field and payload CRC32,
+/// the fluid cells' canonical PDFs; see sim/Checkpoint.h) — and exchanges
 /// the serialized contribution around a ring: rank r keeps its *own* copy
 /// and receives the copy of its ring predecessor (r-1 mod n). Two live
 /// replicas of every rank's state therefore exist at the refresh step: one
@@ -17,21 +17,17 @@
 /// of a rank *and* its buddy within one refresh interval loses state — then
 /// the RecoveryManager falls back to the last disk checkpoint, if any.
 ///
-/// Restoring the full allocation (ghost layers included) at a step boundary
-/// reproduces the disk-restart state bit-exactly — the same argument that
-/// makes .wckp restarts digest-identical applies unchanged, since both use
-/// the same records.
+/// Restoring the records at a step boundary reproduces the disk-restart
+/// state bit-exactly — the same argument that makes .wckp restarts
+/// digest-identical applies unchanged, since both use the same records.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "sim/Checkpoint.h"
 #include "vmpi/Comm.h"
 #include "vmpi/Tags.h"
-
-namespace walb::sim {
-class DistributedSimulation;
-}
 
 namespace walb::recover {
 
@@ -47,9 +43,7 @@ public:
     /// routing plus the raw record bytes (BlockID..payload) ready to be
     /// re-shipped and applied via sim::applyBlockRecord.
     struct BlockRecord {
-        std::uint32_t root = 0;
-        std::uint8_t level = 0;
-        std::uint64_t path = 0;
+        sim::BlockRecordId id;
         std::vector<std::uint8_t> bytes;
     };
 

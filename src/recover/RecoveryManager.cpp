@@ -273,15 +273,14 @@ bool RecoveryManager::restoreFromBuddy(const std::vector<std::uint32_t>& ownerWo
         if (!buddy_.partnerBlocks(records, &err))
             throw RecoveryError("rank " + std::to_string(world_.rank()) + ": " + err);
         for (const auto& r : records)
-            byId[{r.root, int(r.level), r.path}] = &r;
+            byId[{r.id.root, int(r.id.level), r.id.path}] = &r;
     }
     auto recordFor = [&](std::size_t i) -> const BuddyCheckpoint::BlockRecord* {
         const auto& id = blocks[i].id;
         const auto it = byId.find({id.rootIndex(), int(id.level()), id.path()});
         return it == byId.end() ? nullptr : it->second;
     };
-    auto applyRecord = [&](const BuddyCheckpoint::BlockRecord& r) {
-        RecvBuffer rb{std::vector<std::uint8_t>(r.bytes)};
+    auto applyRecord = [&](RecvBuffer& rb) {
         std::string recordError;
         if (sim::applyBlockRecord(sim_, rb, &recordError) != 1)
             throw RecoveryError("rank " + std::to_string(world_.rank()) +
@@ -300,7 +299,8 @@ bool RecoveryManager::restoreFromBuddy(const std::vector<std::uint32_t>& ownerWo
                     throw RecoveryError("buddy copy of rank " +
                                         std::to_string(buddy_.partnerRingRank()) +
                                         " lacks a block the spread expects");
-                applyRecord(*r);
+                RecvBuffer rb{std::vector<std::uint8_t>(r->bytes)};
+                applyRecord(rb);
             }
             continue;
         }
@@ -328,13 +328,7 @@ bool RecoveryManager::restoreFromBuddy(const std::vector<std::uint32_t>& ownerWo
                                     std::to_string(key.first) + " carries " +
                                     std::to_string(count) + " block(s), expected " +
                                     std::to_string(idxs.size()));
-            for (std::uint32_t c = 0; c < count; ++c) {
-                std::string recordError;
-                if (sim::applyBlockRecord(sim_, rb, &recordError) != 1)
-                    throw RecoveryError("rank " + std::to_string(world_.rank()) +
-                                        ": shipped block record failed to apply: " +
-                                        recordError);
-            }
+            for (std::uint32_t c = 0; c < count; ++c) applyRecord(rb);
         } catch (const BufferError& e) {
             throw RecoveryError("restore message from rank " +
                                 std::to_string(key.first) +

@@ -23,7 +23,7 @@
 ///                ghost layers are refilled, the error dump is re-armed and
 ///                a fresh buddy checkpoint is taken on the new ring.
 ///
-/// The rewind is bit-exact: buddy records are the disk checkpoint's v2
+/// The rewind is bit-exact: buddy records are the disk checkpoint's
 /// per-block records, so a kill-and-heal run reaches the same
 /// checkpointDigest as an uninterrupted run of the same step count.
 ///

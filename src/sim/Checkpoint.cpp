@@ -1,11 +1,9 @@
 #include "sim/Checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "core/BinaryIO.h"
 #include "core/Crc32.h"
-#include "core/Logging.h"
 #include "core/ParseNumber.h"
 #include "sim/DistributedSimulation.h"
 
@@ -21,20 +19,8 @@ void serializeBlockId(SendBuffer& buf, const bf::BlockID& id) {
     buf << id.rootIndex() << std::uint8_t(id.level()) << id.path();
 }
 
-struct RawBlockId {
-    std::uint32_t root = 0;
-    std::uint8_t level = 0;
-    std::uint64_t path = 0;
-};
-
-RawBlockId deserializeBlockId(RecvBuffer& buf) {
-    RawBlockId id;
-    buf >> id.root >> id.level >> id.path;
-    return id;
-}
-
 /// Index of the local block with this identity, or -1.
-std::int32_t findLocalBlock(const bf::BlockForest& forest, const RawBlockId& id) {
+std::int32_t findLocalBlock(const bf::BlockForest& forest, const BlockRecordId& id) {
     const auto& blocks = forest.blocks();
     for (std::size_t i = 0; i < blocks.size(); ++i)
         if (blocks[i].id.rootIndex() == id.root && blocks[i].id.level() == id.level &&
@@ -44,7 +30,7 @@ std::int32_t findLocalBlock(const bf::BlockForest& forest, const RawBlockId& id)
 }
 
 /// Human-readable block identity for diagnostics: "root:level:path".
-std::string describeBlockId(const RawBlockId& id) {
+std::string describeBlockId(const BlockRecordId& id) {
     return std::to_string(id.root) + ":" + std::to_string(unsigned(id.level)) +
            ":" + std::to_string(id.path);
 }
@@ -73,73 +59,150 @@ bool parseHeader(RecvBuffer& file, CheckpointHeader& h, std::string* error) {
     return true;
 }
 
+/// The fixed-size head of one block record.
+struct RecordHeader {
+    BlockRecordId id;
+    std::uint64_t payloadBytes = 0;
+    std::uint32_t flagCrc = 0;
+    std::uint32_t payloadCrc = 0;
+};
+
+RecordHeader readRecordHeader(RecvBuffer& rb) {
+    RecordHeader h;
+    rb >> h.id.root >> h.id.level >> h.id.path >> h.payloadBytes >> h.flagCrc >> h.payloadCrc;
+    return h;
+}
+
+/// CRC32 of a block's whole flag field (ghost layers included): the
+/// geometry fingerprint of a record. Flags are a pure function of position,
+/// so a receiver built with the same flag initializer derives the same value.
+std::uint32_t flagFieldCrc(DistributedSimulation& sim, std::size_t block) {
+    const field::FlagField& flags = sim.flagField(block);
+    return crc32(flags.data(), flags.allocCells() * sizeof(field::flag_t));
+}
+
+/// Checks record `h`, whose payload starts at rb.cursor(), against local
+/// block `local` without consuming or applying anything.
+bool verifyRecord(DistributedSimulation& sim, std::size_t local, const RecordHeader& h,
+                  const RecvBuffer& rb, std::string* error) {
+    const std::uint32_t flagCrc = flagFieldCrc(sim, local);
+    if (h.flagCrc != flagCrc) {
+        setError(error, "checkpoint geometry mismatch on block " + describeBlockId(h.id) +
+                            ": flag field CRC " + hexCrc(h.flagCrc) + " (record), " +
+                            hexCrc(flagCrc) +
+                            " (this simulation) — it was built with a different "
+                            "flag initializer");
+        return false;
+    }
+    const std::size_t expected = sim.blockStateBytes(local);
+    if (h.payloadBytes != expected) {
+        setError(error, "block record size mismatch on block " + describeBlockId(h.id) +
+                            ": " + std::to_string(h.payloadBytes) + "/" +
+                            std::to_string(expected) + " payload bytes (record/local)");
+        return false;
+    }
+    if (rb.remaining() < h.payloadBytes)
+        throw BufferError(std::size_t(h.payloadBytes), rb.remaining());
+    const std::uint32_t crc = crc32(rb.cursor(), std::size_t(h.payloadBytes));
+    if (crc != h.payloadCrc) {
+        setError(error, "checkpoint CRC mismatch on block " + describeBlockId(h.id) +
+                            ": expected " + hexCrc(h.payloadCrc) + " (stored), actual " +
+                            hexCrc(crc) + " (computed) — payload corrupted");
+        return false;
+    }
+    return true;
+}
+
+/// Walks the rank contributions of a checkpoint body (positioned after the
+/// file header) and calls visit(header, rb) once per block record, with rb
+/// at the record's payload; visit must consume exactly the payload.
+template <typename Visit>
+void forEachRecord(RecvBuffer& file, std::uint32_t numContributions, const Visit& visit) {
+    for (std::uint32_t c = 0; c < numContributions; ++c) {
+        std::uint64_t length = 0;
+        file >> length;
+        const std::size_t before = file.remaining();
+        std::uint32_t srcRank = 0, numBlocks = 0;
+        file >> srcRank >> numBlocks;
+        (void)srcRank; // blocks are matched by ID, not by writing rank, so
+                       // restarts tolerate a different assignment
+        for (std::uint32_t b = 0; b < numBlocks; ++b) visit(readRecordHeader(file), file);
+        const std::size_t consumed = before - file.remaining();
+        if (consumed != length) throw BufferError(std::size_t(length), consumed);
+    }
+}
+
+/// First pass of checkpointLoad: parses the header and checks every record
+/// of a local block, writing nothing. Covers all local blocks or fails.
+bool verifyCheckpoint(DistributedSimulation& sim, RecvBuffer& file,
+                      CheckpointHeader& header, std::string* error) {
+    const bf::BlockForest& forest = sim.forest();
+    try {
+        if (!parseHeader(file, header, error)) return false;
+        if (header.cellsX != std::uint32_t(forest.cellsX()) ||
+            header.cellsY != std::uint32_t(forest.cellsY()) ||
+            header.cellsZ != std::uint32_t(forest.cellsZ())) {
+            setError(error, "checkpoint geometry mismatch: file has " +
+                                std::to_string(header.cellsX) + "x" +
+                                std::to_string(header.cellsY) + "x" +
+                                std::to_string(header.cellsZ) + " cells per block");
+            return false;
+        }
+        bool ok = true;
+        std::size_t covered = 0;
+        forEachRecord(file, header.numRankContributions,
+                      [&](const RecordHeader& h, RecvBuffer& rb) {
+                          const std::int32_t local = findLocalBlock(forest, h.id);
+                          if (ok && local >= 0) {
+                              ok = verifyRecord(sim, std::size_t(local), h, rb, error);
+                              ++covered;
+                          }
+                          rb.skip(std::size_t(h.payloadBytes));
+                      });
+        if (!ok) return false;
+        if (covered != forest.numLocalBlocks()) {
+            setError(error, "checkpoint covers only " + std::to_string(covered) + " of " +
+                                std::to_string(forest.numLocalBlocks()) + " local blocks");
+            return false;
+        }
+        return true;
+    } catch (const BufferError& e) {
+        setError(error, std::string("truncated/corrupt checkpoint: ") + e.what());
+        return false;
+    }
+}
+
 } // namespace
 
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
                        SendBuffer& buf) {
-    const bf::BlockForest& forest = sim.forest();
-    // Canonical view: the live src field for the two-grid tiers, the
-    // parity-normalized scratch for the AA tiers. Either way the record is
-    // one full-size allocation, so the wire format does not depend on the
-    // kernel tier and a restart may use a different tier than the save.
-    const lbm::PdfField& pdf = sim.canonicalPdfField(block);
-    const field::FlagField& flags = sim.flagField(block);
-    const std::size_t pdfBytes = pdf.allocCells() * sizeof(real_t);
-    const std::size_t flagBytes = flags.allocCells() * sizeof(field::flag_t);
-    std::uint32_t crc = crc32(pdf.data(), pdfBytes);
-    crc = crc32(flags.data(), flagBytes, crc);
-    serializeBlockId(buf, forest.blocks()[block].id);
-    buf << std::uint64_t(pdfBytes) << std::uint64_t(flagBytes) << crc;
-    buf.putBytes(pdf.data(), pdfBytes);
-    buf.putBytes(flags.data(), flagBytes);
+    serializeBlockId(buf, sim.forest().blocks()[block].id);
+    buf << std::uint64_t(sim.blockStateBytes(block)) << flagFieldCrc(sim, block);
+    const std::size_t crcAt = buf.size();
+    buf << std::uint32_t(0); // payload CRC, back-filled once the payload is in
+    const std::size_t payloadAt = buf.size();
+    sim.packBlockState(block, buf);
+    buf.patchCompact(crcAt, crc32(buf.data() + payloadAt, buf.size() - payloadAt), 4);
+}
+
+BlockRecordId skipBlockRecord(RecvBuffer& rb) {
+    const RecordHeader h = readRecordHeader(rb);
+    rb.skip(std::size_t(h.payloadBytes));
+    return h.id;
 }
 
 int applyBlockRecord(DistributedSimulation& sim, RecvBuffer& rb,
                      std::string* error) {
-    const RawBlockId id = deserializeBlockId(rb);
-    std::uint64_t pdfBytes = 0, flagBytes = 0;
-    std::uint32_t storedCrc = 0;
-    rb >> pdfBytes >> flagBytes >> storedCrc;
-    const std::int32_t local = findLocalBlock(sim.forest(), id);
+    const RecordHeader h = readRecordHeader(rb);
+    const std::int32_t local = findLocalBlock(sim.forest(), h.id);
     if (local < 0) {
-        rb.skip(std::size_t(pdfBytes) + std::size_t(flagBytes));
+        rb.skip(std::size_t(h.payloadBytes));
         return 0;
     }
-    // AA tiers deserialize the canonical record into the staging field and
-    // scatter it into parity slots below; two-grid tiers restore in place.
-    lbm::PdfField& pdf = sim.usesAaPattern() ? sim.canonicalScratch()
-                                             : sim.pdfField(std::size_t(local));
-    field::FlagField& flags = sim.flagField(std::size_t(local));
-    if (pdfBytes != pdf.allocCells() * sizeof(real_t) ||
-        flagBytes != flags.allocCells() * sizeof(field::flag_t)) {
-        setError(error, "block record size mismatch on block " + describeBlockId(id) +
-                            ": pdf=" + std::to_string(pdfBytes) + "/" +
-                            std::to_string(pdf.allocCells() * sizeof(real_t)) +
-                            " flags=" + std::to_string(flagBytes) + "/" +
-                            std::to_string(flags.allocCells() * sizeof(field::flag_t)) +
-                            " bytes (record/local)");
-        return -1;
-    }
-    // Verify the CRC against the raw record bytes *before* touching the
-    // live fields — a corrupted payload must not clobber a running
-    // simulation.
-    if (rb.remaining() < pdfBytes + flagBytes)
-        throw BufferError(std::size_t(pdfBytes + flagBytes), rb.remaining());
-    std::uint32_t crc = crc32(rb.cursor(), std::size_t(pdfBytes));
-    crc = crc32(rb.cursor() + pdfBytes, std::size_t(flagBytes), crc);
-    if (crc != storedCrc) {
-        setError(error, "checkpoint CRC mismatch on block " + describeBlockId(id) +
-                            ": expected " + hexCrc(storedCrc) + " (stored), actual " +
-                            hexCrc(crc) + " (computed) — payload corrupted");
-        return -1;
-    }
-    rb.getBytes(pdf.data(), std::size_t(pdfBytes));
-    rb.getBytes(flags.data(), std::size_t(flagBytes));
-    // Flags first, then the canonical scatter: the scatter walks the
-    // block's fluid cells, so it must see the restored flag field. The
-    // caller has already restored the step counter, so the parity of the
-    // scatter matches the checkpoint.
-    if (sim.usesAaPattern()) sim.applyCanonicalPdf(std::size_t(local), pdf);
+    // Verify before touching the live fields — a corrupted or foreign
+    // record must not clobber a running simulation.
+    if (!verifyRecord(sim, std::size_t(local), h, rb, error)) return -1;
+    sim.unpackBlockState(std::size_t(local), rb);
     return 1;
 }
 
@@ -198,7 +261,6 @@ bool checkpointSave(DistributedSimulation& sim, const std::string& path,
 bool checkpointLoad(DistributedSimulation& sim, const std::string& path,
                     std::uint64_t* stepOut, std::string* error) {
     vmpi::Comm& comm = sim.comm();
-    const bf::BlockForest& forest = sim.forest();
 
     // Single read on rank 0, broadcast to the world (paper's one-reader
     // strategy). An unreadable file yields an empty broadcast on all ranks.
@@ -208,57 +270,36 @@ bool checkpointLoad(DistributedSimulation& sim, const std::string& path,
     }
     // walb-lint: allow(blocking): checkpoint collective — every rank reaches it unconditionally; the run comm's recv deadline applies
     comm.broadcast(bytes, 0);
-    if (bytes.empty()) {
-        setError(error, "cannot read checkpoint file '" + path + "'");
+
+    // Pass 1 checks every local record; the ranks then agree, so either all
+    // of them restore or none writes a single slot.
+    std::string why = "cannot read checkpoint file '" + path + "'";
+    CheckpointHeader header;
+    RecvBuffer file(std::move(bytes));
+    const bool ok = file.size() > 0 && verifyCheckpoint(sim, file, header, &why);
+    const std::uint64_t failedRanks =
+        // walb-lint: allow(blocking): checkpoint collective — every rank reaches it unconditionally; the run comm's recv deadline applies
+        vmpi::allreduceSum(comm, std::uint64_t(ok ? 0 : 1));
+    if (failedRanks > 0) {
+        setError(error, ok ? "checkpoint rejected by " + std::to_string(failedRanks) +
+                                 " other rank(s)"
+                           : why);
         return false;
     }
 
-    try {
-        RecvBuffer file(std::move(bytes));
-        CheckpointHeader header;
-        if (!parseHeader(file, header, error)) return false;
-        if (header.cellsX != std::uint32_t(forest.cellsX()) ||
-            header.cellsY != std::uint32_t(forest.cellsY()) ||
-            header.cellsZ != std::uint32_t(forest.cellsZ())) {
-            setError(error, "checkpoint geometry mismatch: file has " +
-                                std::to_string(header.cellsX) + "x" +
-                                std::to_string(header.cellsY) + "x" +
-                                std::to_string(header.cellsZ) + " cells per block");
-            return false;
-        }
-
-        // Restore the step counter *before* applying any block record: the
-        // AA-tier scatter in applyBlockRecord lays PDFs out by the parity
-        // of the step being resumed.
-        sim.setCurrentStep(header.step);
-
-        std::size_t restored = 0;
-        for (std::uint32_t c = 0; c < header.numRankContributions; ++c) {
-            std::vector<std::uint8_t> contribution;
-            file >> contribution;
-            RecvBuffer rb(std::move(contribution));
-            std::uint32_t srcRank = 0, numBlocks = 0;
-            rb >> srcRank >> numBlocks;
-            (void)srcRank; // blocks are matched by ID, not by writing rank,
-                           // so restarts tolerate a different assignment
-            for (std::uint32_t b = 0; b < numBlocks; ++b) {
-                const int applied = applyBlockRecord(sim, rb, error);
-                if (applied < 0) return false;
-                if (applied > 0) ++restored;
-            }
-        }
-        if (restored != forest.numLocalBlocks()) {
-            setError(error, "checkpoint covers only " + std::to_string(restored) + " of " +
-                                std::to_string(forest.numLocalBlocks()) +
-                                " local blocks");
-            return false;
-        }
-        if (stepOut) *stepOut = header.step;
-        return true;
-    } catch (const BufferError& e) {
-        setError(error, std::string("truncated/corrupt checkpoint: ") + e.what());
-        return false;
-    }
+    // Pass 2 restores. The step counter goes first: the AA tiers lay the
+    // payload out by the parity of the step being resumed.
+    sim.setCurrentStep(header.step);
+    RecvBuffer body(file.release());
+    parseHeader(body, header, nullptr); // verified in pass 1
+    forEachRecord(body, header.numRankContributions,
+                  [&](const RecordHeader& h, RecvBuffer& rb) {
+                      const std::int32_t local = findLocalBlock(sim.forest(), h.id);
+                      if (local >= 0) sim.unpackBlockState(std::size_t(local), rb);
+                      else rb.skip(std::size_t(h.payloadBytes));
+                  });
+    if (stepOut) *stepOut = header.step;
+    return true;
 }
 
 bool checkpointPeek(const std::string& path, CheckpointHeader& out, std::string* error) {
@@ -279,25 +320,11 @@ bool checkpointPeek(const std::string& path, CheckpointHeader& out, std::string*
 // walb-lint: begin(deterministic)
 std::uint64_t checkpointDigest(DistributedSimulation& sim) {
     std::uint64_t local = 0;
+    SendBuffer payload;
     for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b) {
-        const lbm::PdfField& pdf = sim.canonicalPdfField(b);
-        // Interior cells only: ghost slots are transient exchange scratch
-        // (refilled from neighbor interiors where a sweep reads them; the
-        // rest may keep stale values), so hashing them would make the
-        // digest depend on exchange history rather than on the physical
-        // state. Interior-only hashing is what lets a block
-        // migration — which moves interiors and re-fills ghosts — be
-        // digest-invariant. The AA tiers hash the parity-normalized
-        // canonical view for the same reason: raw AA storage depends on the
-        // parity and on which neighbor backs each edge slot, the canonical
-        // view does not. fzyx layout: each interior x-row is contiguous.
-        std::uint32_t crc = 0;
-        for (cell_idx_t f = 0; f < cell_idx_t(pdf.fSize()); ++f)
-            for (cell_idx_t z = 0; z < pdf.zSize(); ++z)
-                for (cell_idx_t y = 0; y < pdf.ySize(); ++y)
-                    crc = crc32(pdf.dataAt(0, y, z, f),
-                                std::size_t(pdf.xSize()) * sizeof(real_t), crc);
-        local += crc;
+        payload.clear();
+        sim.packBlockState(b, payload);
+        local += crc32(payload.data(), payload.size());
     }
     // walb-lint: allow(blocking): digest reduction, reached by all ranks
     return vmpi::allreduceSum(sim.comm(), local);

@@ -4,7 +4,7 @@
 /// the production frameworks treat as table stakes (waLBerla's
 /// checkpoint-based resilience, OpenLB's save/load of the lattice state).
 ///
-/// Format (version 2, file extension .wckp by convention), written through
+/// Format (version 3, file extension .wckp by convention), written through
 /// core/BinaryIO's endian-independent buffers:
 ///
 ///   u32 magic 'WCKP'   u32 version   u32 worldSize
@@ -12,25 +12,33 @@
 ///   repeat numRankContributions times:  byte-vector (length-prefixed)
 ///
 /// Each rank contribution holds the writing rank, its block assignment and
-/// per block a versioned record:
+/// per block one record — the single block-state format that the disk
+/// checkpoint, the in-memory buddy copy (walb::recover) and live migration
+/// (walb::rebalance) all carry:
 ///
 ///   u32 rank   u32 numBlocks
 ///   per block: BlockID{u32 root, u8 level, u64 path}
-///              u64 pdfBytes   u64 flagBytes   u32 crc32(pdf ++ flags)
-///              raw PDF field bytes (full allocation incl. ghost layers)
-///              raw flag field bytes
+///              u64 payloadBytes   u32 crc32(flag field)   u32 crc32(payload)
+///              payload: DistributedSimulation::packBlockState — the
+///              canonical post-collision PDFs of the block's interior
+///              fluid cells (fluid cells x 19 x 8 bytes)
 ///
-/// The per-block CRC32 is verified *before* a payload is applied, so a
-/// corrupted file never clobbers a live simulation state. Restoring the
-/// full allocation (ghost layers included) makes a restart bit-exact: a run
-/// of N steps with a save/load cycle in the middle produces byte-identical
-/// densities to the uninterrupted run.
+/// The payload is the same for every kernel tier and AA parity, so a
+/// restart may use a different tier than the save. Flags are not stored:
+/// they are a pure function of position, re-derived by the receiver's flag
+/// initializer. Their CRC (whole field, ghost layers included) is a
+/// geometry fingerprint — a record is rejected, naming the block, when the
+/// receiver was built with a different geometry.
 ///
-/// The AA kernel tiers write the *canonical* (parity-normalized) PDF view
-/// into the same full-size record — interior fluid cells carry the physical
-/// post-collision values, everything else is zero — and the restore path
-/// scatters it back under the parity of the restored step. The wire format
-/// is therefore identical across tiers.
+/// Why the fluid-cell payload restores a run bit-exactly: every PDF slot a
+/// kernel or boundary sweep reads either belongs to an interior fluid cell
+/// (restored), is a ghost slot refilled by the next exchange, or is a
+/// boundary-cell slot the boundary sweep overwrites before it is read. The
+/// rest of the allocation keeps whatever the receiver held.
+///
+/// Both CRCs are verified *before* a payload is applied, so a corrupted or
+/// foreign file never clobbers a live simulation state; checkpointLoad
+/// checks every record on every rank before any rank writes.
 ///
 /// Writing follows the paper's one-writer file strategy (§2.2): rank 0
 /// gathers all contributions and performs a single write; loading reads the
@@ -47,7 +55,7 @@ namespace walb::sim {
 class DistributedSimulation;
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x57434b50; // "WCKP"
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Parsed fixed-size prefix of a checkpoint file.
 struct CheckpointHeader {
@@ -66,9 +74,11 @@ bool checkpointSave(DistributedSimulation& sim, const std::string& path,
                     std::string* error = nullptr);
 
 /// Collective: rank 0 reads the file with one read operation and broadcasts;
-/// every rank restores its own blocks (CRC-verified) and the simulation's
-/// step counter. Returns false — with a diagnosis in `error` — on a missing
-/// file, bad magic/version, geometry mismatch, CRC failure, or truncation.
+/// every rank checks its own blocks' records (geometry, size, CRC), the
+/// ranks agree, and only then restore their blocks and the simulation's step
+/// counter. Returns false on every rank — with a diagnosis in `error` and
+/// the live state untouched — on a missing file, bad magic/version, geometry
+/// mismatch, CRC failure, or truncation.
 bool checkpointLoad(DistributedSimulation& sim, const std::string& path,
                     std::uint64_t* stepOut = nullptr, std::string* error = nullptr);
 
@@ -76,34 +86,40 @@ bool checkpointLoad(DistributedSimulation& sim, const std::string& path,
 bool checkpointPeek(const std::string& path, CheckpointHeader& out,
                     std::string* error = nullptr);
 
-/// Appends one local block's record in the v2 per-block wire format
-/// (BlockID, payload sizes, CRC32 over pdf ++ flags, full-allocation PDF +
-/// flag bytes) to `buf`. Shared by the disk checkpoint writer and the
-/// in-memory buddy checkpoint of walb::recover — one format, one CRC
-/// discipline.
+/// Identity of the block a record names (the BlockID fields as written).
+struct BlockRecordId {
+    std::uint32_t root = 0;
+    std::uint8_t level = 0;
+    std::uint64_t path = 0;
+};
+
+/// Appends one local block's record (format above) to `buf`.
 void appendBlockRecord(DistributedSimulation& sim, std::size_t block,
                        SendBuffer& buf);
 
+/// Advances `rb` past one block record without applying it and returns the
+/// block it names — for callers that route records (buddy shipping). Throws
+/// BufferError on a truncated record.
+BlockRecordId skipBlockRecord(RecvBuffer& rb);
+
 /// Consumes one block record from `rb`. When the named block is local, the
-/// CRC is verified *before* the payload touches the live fields and the
-/// block is restored; a record for a block owned elsewhere is skipped.
-/// Returns +1 applied, 0 skipped, -1 failure — on failure `error` names the
-/// offending BlockID and the expected vs. actual CRC. May throw BufferError
-/// on a truncated record (callers wrap the whole stream parse).
+/// geometry fingerprint, payload size and CRC are verified *before* the
+/// payload touches the live fields and the block is restored under the
+/// simulation's current step parity; a record for a block owned elsewhere
+/// is skipped. Returns +1 applied, 0 skipped, -1 failure — on failure
+/// `error` names the offending BlockID. May throw BufferError on a
+/// truncated record (callers wrap the whole stream parse).
 int applyBlockRecord(DistributedSimulation& sim, RecvBuffer& rb,
                      std::string* error = nullptr);
 
-/// Collective: order-independent fingerprint of the physical PDF state
-/// (sum over blocks of each block's interior-cell CRC32, allreduced).
-/// Interior cells are the complete physical state — ghost slots are
-/// exchange scratch, refilled from neighbor interiors where a sweep reads
-/// them (slots no fluid cell reads may keep stale values) — so two runs
-/// with equal digests have bit-exact equal fields everywhere that is ever
-/// read, and the digest is invariant across a rebalance migration
-/// (which moves interiors and re-fills ghosts). AA tiers are hashed through
-/// the canonical parity-normalized view, so the digest is also invariant
-/// under the AA storage parity; note it hashes zeros at non-fluid cells
-/// there, so AA and two-grid digests of the same state differ by design.
+/// Collective: order-independent fingerprint of the physical PDF state —
+/// the allreduced sum of every block's payload CRC32 (the record payload
+/// above). It hashes the canonical PDFs of interior fluid cells only, so it
+/// is invariant under the AA storage parity, under a migration (which moves
+/// payloads and refills ghosts) and across kernel tiers: a two-grid and an
+/// AA run of the same trajectory digest equal. Ghost and non-fluid slots
+/// are not state (see the format note), so equal digests mean bit-exact
+/// equal fields everywhere a sweep reads before writing.
 std::uint64_t checkpointDigest(DistributedSimulation& sim);
 
 // ---- driver wiring ---------------------------------------------------------

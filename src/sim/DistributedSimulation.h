@@ -315,8 +315,9 @@ public:
     /// stored flag initializer — flags are a pure function of global
     /// position), boundary handlings, fluid runs and the ghost-exchange
     /// BufferSystem plan. Carries *no* PDF state over: callers (the
-    /// migrator) stash/transfer field payloads around this call. Must be
-    /// invoked with the identical `ownerBySetupIndex` on every rank.
+    /// migrator) pack block records before this call and apply them after
+    /// it. Must be invoked with the identical `ownerBySetupIndex` on every
+    /// rank.
     void applyBlockAssignment(const std::vector<std::uint32_t>& ownerBySetupIndex) {
         WALB_ASSERT(ownerBySetupIndex.size() == setup_.numBlocks(),
                     "assignment covers " << ownerBySetupIndex.size() << " of "
@@ -387,14 +388,6 @@ public:
     lbm::PdfField& pdfField(std::size_t block) {
         return forest_.getData<lbm::PdfField>(block, srcId_);
     }
-    /// The destination PDF field (post-swap history buffer). Migration must
-    /// move it along with pdfField(): boundary handling writes into whichever
-    /// buffer is src each step, so both buffers carry live state. The AA
-    /// tiers have no shadow grid — this is a token 1-cell allocation there,
-    /// and checkpoint/migration skip it.
-    lbm::PdfField& pdfDstField(std::size_t block) {
-        return forest_.getData<lbm::PdfField>(block, dstId_);
-    }
     field::FlagField& flagField(std::size_t block) {
         return forest_.getData<field::FlagField>(block, flagId_);
     }
@@ -407,54 +400,35 @@ public:
     /// Current AA storage layout == parity of the next step to run.
     lbm::AaParity aaParity() const { return lbm::aaParityOfStep(currentStep_); }
 
-    /// The canonical (physical post-collision, parity-normalized) PDF view
-    /// of block `block`. Two-grid tiers: the live src field itself. AA
-    /// tiers: a rank-wide scratch field holding P(x, a) for every interior
-    /// fluid cell and zeros elsewhere — consumed by checkpoint save,
-    /// digests and migration, and invalidated by the next call. The AA view
-    /// is migration- and schedule-invariant: it never depends on which
-    /// neighbor currently backs a ghost region.
-    const lbm::PdfField& canonicalPdfField(std::size_t block) {
-        if (!usesAaPattern()) return pdfField(block);
-        lbm::PdfField& canon = canonicalScratch();
-        canon.fill(real_c(0));
-        const lbm::PdfField& src = pdfField(block);
-        const auto& flags = flagField(block);
-        const lbm::AaParity parity = aaParity();
-        flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            if (!(flags.get(x, y, z) & masks_.fluid)) return;
-            lbm::setPdfs<M>(canon, x, y, z, lbm::aaCanonicalPdfs(src, parity, x, y, z));
-        });
-        return canon;
+    // ---- block state ---------------------------------------------------------
+
+    /// Bytes packBlockState() appends for block `block`.
+    std::size_t blockStateBytes(std::size_t block) const {
+        return std::size_t(runs_[block].fluidCells) * M::Q * sizeof(real_t);
     }
 
-    /// Scatters a canonical PDF field (same layout as canonicalPdfField
-    /// returns) into block `block`'s live AA storage under the current
-    /// parity: the whole allocation is zeroed, fluid-cell values land in
-    /// their parity slots — at parity Even this also re-creates the block's
-    /// own ghost pushes. Interior edge slots produced by *neighbor* blocks
-    /// stay zero until refillGhostLayers() (or the next step's exchange)
-    /// completes them. AA tiers only.
-    void applyCanonicalPdf(std::size_t block, const lbm::PdfField& canon) {
-        WALB_ASSERT(usesAaPattern(), "canonical scatter is an AA-tier operation");
-        lbm::PdfField& dst = pdfField(block);
-        dst.fill(real_c(0));
-        const auto& flags = flagField(block);
-        const lbm::AaParity parity = aaParity();
-        flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-            if (!(flags.get(x, y, z) & masks_.fluid)) return;
-            lbm::aaSetCanonicalPdfs(dst, parity, x, y, z, lbm::getPdfs<M>(canon, x, y, z));
+    /// Appends the state of block `block`: the canonical post-collision PDFs
+    /// (the values cellCanonicalPdfs returns) of its interior fluid cells,
+    /// population by population, each population in fluid-run order. The
+    /// order depends only on the flag field, so the bytes are the same for
+    /// every kernel tier and AA parity. Every other slot is either refilled
+    /// by the next ghost exchange or overwritten by the boundary sweep before
+    /// a kernel reads it, so this payload is the block's complete state.
+    void packBlockState(std::size_t block, SendBuffer& buf) {
+        forEachStateSpan(block, [&](real_t* p, std::size_t n) {
+            buf.putBytes(p, n * sizeof(real_t));
         });
     }
 
-    /// The lazily-allocated block-sized staging field behind
-    /// canonicalPdfField — exposed so checkpoint load / migration unpack
-    /// can deserialize into it before applyCanonicalPdf.
-    lbm::PdfField& canonicalScratch() {
-        if (!canonScratch_)
-            canonScratch_ = std::make_unique<lbm::PdfField>(lbm::makePdfField<M>(
-                forest_.cellsX(), forest_.cellsY(), forest_.cellsZ()));
-        return *canonScratch_;
+    /// Inverse of packBlockState: writes blockStateBytes(block) bytes from
+    /// `rb` into the slots that hold the canonical PDFs under the current
+    /// tier and AA parity (restore the step counter first). Touches no other
+    /// slot. Callers check the payload size beforehand: a short buffer
+    /// throws BufferError after part of the block was written.
+    void unpackBlockState(std::size_t block, RecvBuffer& rb) {
+        forEachStateSpan(block, [&](real_t* p, std::size_t n) {
+            rb.getBytes(p, n * sizeof(real_t));
+        });
     }
 
     /// Measured sweep (collide+stream) seconds per local block, accumulated
@@ -801,11 +775,11 @@ public:
 
     std::size_t bytesLastExchange() const { return comm_scheme_->bytesLastExchange(); }
 
-    /// Collective checkpoint of the full simulation state (PDF + flag
-    /// fields, current step). Thin member wrapper over sim::checkpointSave
-    /// (see sim/Checkpoint.h for the format) that feeds the obs metrics
-    /// `ckpt.bytes` (counter) and `ckpt.seconds` (cumulative gauge). All
-    /// ranks return the same success flag.
+    /// Collective checkpoint of the simulation state (every block's
+    /// packBlockState payload, current step). Thin member wrapper over
+    /// sim::checkpointSave (see sim/Checkpoint.h for the format) that feeds
+    /// the obs metrics `ckpt.bytes` (counter) and `ckpt.seconds` (cumulative
+    /// gauge). All ranks return the same success flag.
     bool saveCheckpoint(const std::string& path, std::string* error = nullptr) {
         Timer t;
         t.start();
@@ -819,9 +793,10 @@ public:
     }
 
     /// Collective restart from a checkpoint written by saveCheckpoint().
-    /// Restores the PDF/flag fields of this rank's blocks (CRC-verified)
-    /// and the simulation's step counter; returns false with a diagnosis
-    /// instead of throwing on a missing/corrupt file.
+    /// Restores the state of this rank's blocks (CRC- and geometry-checked
+    /// before any block is written) and the simulation's step counter;
+    /// returns false with a diagnosis instead of throwing on a missing,
+    /// corrupt or mismatched file.
     bool loadCheckpoint(const std::string& path, std::string* error = nullptr) {
         return checkpointLoad(*this, path, nullptr, error);
     }
@@ -1108,6 +1083,27 @@ private:
                     .swapDataWith(forest_.getData<lbm::PdfField>(b, dstId_));
     }
 
+    /// Calls fn(pointer, count) for every contiguous span of block `block`'s
+    /// state (see packBlockState): per population a, per fluid x-run, the
+    /// slots holding P(x, a) — (x, a) for two-grid, (x, abar) at AA parity
+    /// Odd, (x + c_a, a) at AA parity Even (the storage invariants of
+    /// lbm/KernelAa.h).
+    template <typename Fn>
+    void forEachStateSpan(std::size_t block, const Fn& fn) {
+        lbm::PdfField& pdf = pdfField(block);
+        WALB_ASSERT(pdf.xStride() == 1, "block state spans assume the fzyx layout");
+        const bool aa = usesAaPattern();
+        const bool even = aaParity() == lbm::AaParity::Even;
+        const cell_idx_t shift = aa && even ? 1 : 0;
+        for (uint_t a = 0; a < M::Q; ++a) {
+            const cell_idx_t f = cell_idx_c(aa && !even ? M::inv[a] : a);
+            for (const auto& r : runs_[block].runs)
+                fn(pdf.dataAt(r.xBegin + shift * M::c[a][0], r.y + shift * M::c[a][1],
+                              r.z + shift * M::c[a][2], f),
+                   std::size_t(r.xEnd - r.xBegin + 1));
+        }
+    }
+
     /// (Re)creates every per-block datum of the current forest_: PDF fields
     /// (equilibrium-initialized), flag fields (derived through initFlags_),
     /// boundary handlings, fluid runs/cell lists, the ghost-exchange scheme
@@ -1226,7 +1222,6 @@ private:
     double commFinishSeconds_ = 0.0; ///< blocking drain (overlap mode)
     lbm::KernelD3Q19Simd<> simdKernel_;
     lbm::KernelAaSimd<> aaSimdKernel_;
-    std::unique_ptr<lbm::PdfField> canonScratch_; ///< AA canonicalization staging
     std::unique_ptr<PdfCommScheme> comm_scheme_;
     TimingPool timing_;
     obs::MetricsRegistry metrics_;

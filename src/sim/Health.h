@@ -12,6 +12,7 @@
 /// Reported obs metrics: gauges `health.nan_cells` and `health.mass_drift`
 /// (every check), counter `health.violations`.
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -79,23 +80,6 @@ public:
 
     HealthReport report;
 };
-
-/// Counts interior fluid cells carrying at least one non-finite PDF value.
-template <typename M>
-std::uint64_t countNonFiniteCells(const lbm::PdfField& pdf, const field::FlagField& flags,
-                                  field::flag_t fluidMask) {
-    std::uint64_t n = 0;
-    flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-        if (!(flags.get(x, y, z) & fluidMask)) return;
-        for (uint_t a = 0; a < M::Q; ++a) {
-            if (!std::isfinite(pdf.get(x, y, z, cell_idx_c(a)))) {
-                ++n;
-                return;
-            }
-        }
-    });
-    return n;
-}
 
 /// Periodic watchdog over a DistributedSimulation (passed as a template so
 /// this header stays independent of the simulation driver's definition).
@@ -193,16 +177,16 @@ private:
         using M = typename Sim::M;
         double vals[2] = {0.0, 0.0};
         for (std::size_t b = 0; b < sim.forest().numLocalBlocks(); ++b) {
-            // Canonical view: for the AA tiers the raw field mixes parities
+            // Canonical PDFs: for the AA tiers the raw field mixes parities
             // and neighbors' push slots, so densities are only meaningful
-            // after parity normalization. Two-grid tiers get the live field.
-            const lbm::PdfField& pdf = sim.canonicalPdfField(b);
+            // after parity normalization.
             const field::FlagField& flags = sim.flagField(b);
-            vals[0] +=
-                double(countNonFiniteCells<M>(pdf, flags, sim.masks().fluid));
             flags.forAllInterior([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
-                if (flags.get(x, y, z) & sim.masks().fluid)
-                    vals[1] += lbm::cellDensity<M>(pdf, x, y, z);
+                if (!(flags.get(x, y, z) & sim.masks().fluid)) return;
+                const auto pdfs = sim.cellCanonicalPdfs(b, x, y, z);
+                const auto finite = [](real_t v) { return std::isfinite(v); };
+                vals[0] += std::all_of(pdfs.begin(), pdfs.end(), finite) ? 0.0 : 1.0;
+                vals[1] += lbm::density<M>(pdfs);
             });
         }
         // walb-lint: allow(blocking): invariant-check collective, reached by all ranks
