@@ -113,29 +113,56 @@ public:
         partitioned_ = true;
     }
 
-    bool partitioned() const { return partitioned_; }
-    std::size_t numShellLinks() const {
-        return shellNoSlip_.size() + shellUbb_.size() + shellPressure_.size();
-    }
-    std::size_t numCoreLinks() const {
-        return coreNoSlip_.size() + coreUbb_.size() + corePressure_.size();
+    /// Writes boundary values into the boundary-cell PDF slots of src under
+    /// the streaming state of the step about to run. Must run after
+    /// communication and before the stream-collide sweep.
+    void apply(PdfField& src, Streaming streaming = Streaming::TwoGrid) const {
+        applyLinks(src, streaming, noSlipLinks_, ubbLinks_, pressureLinks_);
     }
 
     /// Applies only the core (resp. shell) partition; together they perform
-    /// exactly the writes of apply(), each link exactly once.
-    void applyCore(PdfField& src) const {
+    /// exactly the writes of apply(), each link exactly once. For the AA
+    /// states the core entry also computes the shell pressure values from
+    /// the pre-sweep state and stashes them for applyShell(): the in-place
+    /// kernels overwrite the very neighbor slots the pressure velocity
+    /// gather reads (the even kernel rewrites each core cell's own slots,
+    /// the odd kernel pushes through them), so the *gather* must run before
+    /// the core sweep. Every slot it reads is locally produced — never a
+    /// halo unpack target (the per-population trim keeps remote-produced
+    /// slots disjoint) — so this is bit-identical to the synchronous
+    /// exchange-then-apply order. The *write* target can coincide with a
+    /// halo unpack slot and therefore stays in applyShell(), after the
+    /// exchange has finished.
+    void applyCore(PdfField& src, Streaming streaming) const {
         WALB_DASSERT(partitioned_);
-        applyLinks(src, coreNoSlip_, coreUbb_, corePressure_);
-    }
-    void applyShell(PdfField& src) const {
-        WALB_DASSERT(partitioned_);
-        applyLinks(src, shellNoSlip_, shellUbb_, shellPressure_);
+        if (streaming != Streaming::TwoGrid) {
+            aaShellPressureStash_.resize(shellPressure_.size());
+            for (std::size_t i = 0; i < shellPressure_.size(); ++i)
+                aaShellPressureStash_[i] = streaming == Streaming::AaEven
+                                               ? aaPressureValueEven(src, shellPressure_[i])
+                                               : aaPressureValueOdd(src, shellPressure_[i]);
+            aaShellStashValid_ = true;
+        }
+        applyLinks(src, streaming, coreNoSlip_, coreUbb_, corePressure_);
     }
 
-    /// Writes boundary values into the boundary-cell PDF slots of src.
-    /// Must run after communication and before the stream-collide sweep.
-    void apply(PdfField& src) const {
-        applyLinks(src, noSlipLinks_, ubbLinks_, pressureLinks_);
+    /// Requires the matching applyCore() call earlier in the same step.
+    void applyShell(PdfField& src, Streaming streaming) const {
+        WALB_DASSERT(partitioned_);
+        if (streaming == Streaming::TwoGrid) {
+            applyLinks(src, streaming, shellNoSlip_, shellUbb_, shellPressure_);
+            return;
+        }
+        WALB_DASSERT(aaShellStashValid_ || shellPressure_.empty());
+        applyLinks(src, streaming, shellNoSlip_, shellUbb_, kNoLinks_);
+        for (std::size_t i = 0; i < shellPressure_.size(); ++i) {
+            const Link& l = shellPressure_[i];
+            if (streaming == Streaming::AaEven)
+                src.get(fluidCell(l), cell_idx_c(l.dir)) = aaShellPressureStash_[i];
+            else
+                src.get(l.boundary, cell_idx_c(M::inv[l.dir])) = aaShellPressureStash_[i];
+        }
+        aaShellStashValid_ = false;
     }
 
     // ---- AA-pattern (in-place) variants -----------------------------------
@@ -160,62 +187,23 @@ public:
     // of xf, gathered under the same parity map; all gathered slots are
     // produced by xf itself or its own push targets, never by communication.
 
-    void applyAa(PdfField& src, AaParity parity) const {
-        if (parity == AaParity::Even)
-            applyLinksAaEven(src, noSlipLinks_, ubbLinks_, pressureLinks_);
-        else
-            applyLinksAaOdd(src, noSlipLinks_, ubbLinks_, pressureLinks_);
-    }
-    void applyAaCore(PdfField& src, AaParity parity) const {
-        WALB_DASSERT(partitioned_);
-        if (parity == AaParity::Even)
-            applyLinksAaEven(src, coreNoSlip_, coreUbb_, corePressure_);
-        else
-            applyLinksAaOdd(src, coreNoSlip_, coreUbb_, corePressure_);
-    }
-    /// Computes the shell-partition pressure boundary values from the
-    /// pre-sweep state and stashes them for applyAaShell(). The in-place
-    /// kernels overwrite the very neighbor slots the pressure velocity
-    /// gather reads (the even kernel rewrites each core cell's own slots,
-    /// the odd kernel pushes through them), so in the overlapped schedule
-    /// the *gather* must run before the core sweep. Every slot it reads is
-    /// locally produced — never a halo unpack target (the per-population
-    /// trim keeps remote-produced slots disjoint) — so hoisting it is
-    /// bit-identical to the synchronous exchange-then-apply order. The
-    /// *write* target can coincide with a halo unpack slot and therefore
-    /// stays in applyAaShell(), after finishExchange.
-    void precomputeAaShellPressure(const PdfField& src, AaParity parity) const {
-        WALB_DASSERT(partitioned_);
-        aaShellPressureStash_.resize(shellPressure_.size());
-        for (std::size_t i = 0; i < shellPressure_.size(); ++i)
-            aaShellPressureStash_[i] = parity == AaParity::Even
-                                           ? aaPressureValueEven(src, shellPressure_[i])
-                                           : aaPressureValueOdd(src, shellPressure_[i]);
-        aaShellStashValid_ = true;
-    }
-
-    /// Requires a matching precomputeAaShellPressure() call earlier in the
-    /// same step whenever shell pressure links exist: by the time this runs
-    /// the core sweep has already rewritten the slots their gather reads.
-    void applyAaShell(PdfField& src, AaParity parity) const {
-        WALB_DASSERT(partitioned_);
-        WALB_DASSERT(aaShellStashValid_ || shellPressure_.empty());
-        if (parity == AaParity::Even) {
-            applyLinksAaEven(src, shellNoSlip_, shellUbb_, kNoLinks_);
-            for (std::size_t i = 0; i < shellPressure_.size(); ++i)
-                src.get(fluidCell(shellPressure_[i]),
-                        cell_idx_c(shellPressure_[i].dir)) = aaShellPressureStash_[i];
-        } else {
-            applyLinksAaOdd(src, shellNoSlip_, shellUbb_, kNoLinks_);
-            for (std::size_t i = 0; i < shellPressure_.size(); ++i)
-                src.get(shellPressure_[i].boundary,
-                        cell_idx_c(M::inv[shellPressure_[i].dir])) =
-                    aaShellPressureStash_[i];
-        }
-        aaShellStashValid_ = false;
-    }
-
 private:
+    void applyLinks(PdfField& src, Streaming streaming, const std::vector<Link>& noSlipLinks,
+                    const std::vector<Link>& ubbLinks,
+                    const std::vector<Link>& pressureLinks) const {
+        switch (streaming) {
+            case Streaming::TwoGrid:
+                applyLinksTwoGrid(src, noSlipLinks, ubbLinks, pressureLinks);
+                break;
+            case Streaming::AaEven:
+                applyLinksAaEven(src, noSlipLinks, ubbLinks, pressureLinks);
+                break;
+            case Streaming::AaOdd:
+                applyLinksAaOdd(src, noSlipLinks, ubbLinks, pressureLinks);
+                break;
+        }
+    }
+
     /// Even-step prep: write the boundary value into the *fluid* cell's own
     /// slot (xf, d), reading the reflected population from (xb, dbar).
     void applyLinksAaEven(PdfField& src, const std::vector<Link>& noSlipLinks,
@@ -299,9 +287,9 @@ private:
                    (real_c(1) + real_c(4.5) * eu * eu - real_c(1.5) * u.dot(u));
     }
 
-    void applyLinks(PdfField& src, const std::vector<Link>& noSlipLinks,
-                    const std::vector<Link>& ubbLinks,
-                    const std::vector<Link>& pressureLinks) const {
+    void applyLinksTwoGrid(PdfField& src, const std::vector<Link>& noSlipLinks,
+                           const std::vector<Link>& ubbLinks,
+                           const std::vector<Link>& pressureLinks) const {
         for (const Link& l : noSlipLinks) {
             const Cell f = fluidCell(l);
             src.get(l.boundary, cell_idx_c(l.dir)) = src.get(f, cell_idx_c(M::inv[l.dir]));

@@ -36,7 +36,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "field/FlagField.h"
 #include "lbm/Collision.h"
@@ -52,6 +51,16 @@ enum class AaParity : std::uint8_t { Even = 0, Odd = 1 };
 /// Parity of step index `step` (steps are counted from 0; step 0 is even).
 constexpr AaParity aaParityOfStep(std::uint64_t step) {
     return (step % 2 == 0) ? AaParity::Even : AaParity::Odd;
+}
+
+/// How the step about to run streams: the two-grid pull, or the AA kernel
+/// of the current parity. The drivers resolve it once per step; boundary
+/// handling and the ghost exchange key their slot maps on it.
+enum class Streaming : std::uint8_t { TwoGrid, AaEven, AaOdd };
+
+constexpr Streaming streamingOf(bool aaPattern, AaParity parity) {
+    if (!aaPattern) return Streaming::TwoGrid;
+    return parity == AaParity::Even ? Streaming::AaEven : Streaming::AaOdd;
 }
 
 /// Even-step update of one cell: read local, collide, write back with the
@@ -89,26 +98,6 @@ inline void aaCell(PdfField& pdf, AaParity parity, cell_idx_t x, cell_idx_t y, c
     else aaOddCell(pdf, x, y, z, op);
 }
 
-/// Cell-list sweeps (sparse strategy 2). The pointer/count overloads sweep
-/// a contiguous slice — the overlapped schedule polls for halo arrivals
-/// between chunks, exactly like the two-grid cell-list kernel.
-template <typename Op>
-void aaCollideCellList(PdfField& pdf, AaParity parity, const Cell* cells,
-                       std::size_t numCells, const Op& op) {
-    if (parity == AaParity::Even)
-        for (std::size_t i = 0; i < numCells; ++i)
-            aaEvenCell(pdf, cells[i].x, cells[i].y, cells[i].z, op);
-    else
-        for (std::size_t i = 0; i < numCells; ++i)
-            aaOddCell(pdf, cells[i].x, cells[i].y, cells[i].z, op);
-}
-
-template <typename Op>
-void aaCollideCellList(PdfField& pdf, AaParity parity, const std::vector<Cell>& cells,
-                       const Op& op) {
-    aaCollideCellList(pdf, parity, cells.data(), cells.size(), op);
-}
-
 /// Reads the canonical (physical, post-collision) PDF set P of one cell
 /// from AA storage — the parity-independent view used by macroscopic
 /// accessors, checkpoints, and digests. At parity Even this reads the
@@ -138,9 +127,9 @@ inline void aaSetCanonicalPdfs(PdfField& pdf, AaParity parity, cell_idx_t x, cel
             pdf.get(x + M::c[a][0], y + M::c[a][1], z + M::c[a][2], cell_idx_c(a)) = p[a];
 }
 
-/// Dense flag-conditional sweep over the whole interior (the single-block
-/// driver's scalar AA tier). Either parity's cells touch pairwise-disjoint
-/// slot sets, so the interior traversal order is irrelevant.
+/// Dense flag-conditional sweep over the whole interior (the kernel micro
+/// benchmarks). Either parity's cells touch pairwise-disjoint slot sets, so
+/// the interior traversal order is irrelevant.
 template <typename Op>
 void aaStreamCollide(PdfField& pdf, AaParity parity, const Op& op,
                      const field::FlagField* flags = nullptr, field::flag_t fluidMask = 0) {

@@ -8,7 +8,8 @@
 ///     performance penalty, incompatible with vectorization.
 ///  2. *Cell list*: the coordinates of a block's fluid cells are stored in
 ///     an array and the kernel loops over that array. No conditional, but
-///     still not vectorizable.
+///     still not vectorizable. Kept for the strategy comparison of the
+///     kernel micro benchmark; the drivers sweep line intervals.
 ///  3. *Line intervals*: for every line of lattice cells the index range of
 ///     consecutive fluid cells is stored, "similar to the compressed
 ///     storage scheme of a sparse matrix". The kernel executes only on the
@@ -16,6 +17,9 @@
 ///     vascular geometries, which have few but consecutive fluid cells.
 ///
 /// Strategy 3 reuses the vectorized row code of KernelD3Q19Simd verbatim.
+/// Both simulation drivers sweep strategy-3 runs for every kernel tier (the
+/// scalar tiers run their per-cell kernel along each run; see
+/// sim::sweepRuns).
 
 #include <vector>
 
@@ -142,27 +146,6 @@ CoreShellRuns splitFluidRuns(const FluidRunList& all, cell_idx_t xSize, cell_idx
     return out;
 }
 
-/// Same split for the explicit cell-list strategy.
-struct CoreShellCells {
-    std::vector<Cell> core;
-    std::vector<Cell> shell;
-};
-
-template <LatticeModel M>
-CoreShellCells splitFluidCellList(const std::vector<Cell>& cells, cell_idx_t xSize,
-                                  cell_idx_t ySize, cell_idx_t zSize,
-                                  const std::array<bool, 26>& remoteGhost) {
-    CoreShellCells out;
-    for (const Cell& c : cells) {
-        const RunGhostReach reach = runGhostReach<M>(
-            c.y == 0, c.y == ySize - 1, c.z == 0, c.z == zSize - 1, remoteGhost);
-        const bool shell = reach.row || (reach.xLo && c.x == 0) ||
-                           (reach.xHi && c.x == xSize - 1);
-        (shell ? out.shell : out.core).push_back(c);
-    }
-    return out;
-}
-
 /// Builds the explicit fluid-cell coordinate list (strategy 2).
 inline std::vector<Cell> buildFluidCellList(const field::FlagField& flags,
                                             field::flag_t fluidMask) {
@@ -174,25 +157,17 @@ inline std::vector<Cell> buildFluidCellList(const field::FlagField& flags,
 }
 
 /// Strategy 2: loop over the fluid-cell array; scalar per-cell updates.
-/// The pointer/count overload sweeps a contiguous slice — the overlapped
-/// schedule uses it to poll for halo arrivals between chunks.
-template <typename Op>
-void streamCollideCellList(const PdfField& src, PdfField& dst, const Cell* cells,
-                           std::size_t numCells, const Op& op) {
-    for (std::size_t i = 0; i < numCells; ++i)
-        streamCollideCell(src, dst, cells[i].x, cells[i].y, cells[i].z, op);
-}
-
 template <typename Op>
 void streamCollideCellList(const PdfField& src, PdfField& dst, const std::vector<Cell>& cells,
                            const Op& op) {
-    streamCollideCellList(src, dst, cells.data(), cells.size(), op);
+    for (const Cell& c : cells) streamCollideCell(src, dst, c.x, c.y, c.z, op);
 }
 
 /// Strategy 3: vectorized execution over fluid line intervals. Runs are
 /// independent (disjoint destination cells), so they are distributed over
 /// OpenMP threads when available. The pointer/count overload sweeps a
-/// contiguous slice of the run list.
+/// contiguous slice of the run list — the overlapped ordering polls for
+/// halo arrivals between slices.
 template <typename Op, typename V = simd::BestD>
 void streamCollideRuns(const PdfField& src, PdfField& dst, const FluidRun* runs,
                        std::size_t numRuns, const Op& op, KernelD3Q19Simd<V>& kernel) {

@@ -3,283 +3,46 @@
 /// Multi-block, multi-process LBM driver: the distributed counterpart of
 /// SingleBlockSimulation. Each virtual-MPI rank owns the blocks assigned to
 /// it by the setup/load-balancing phase, allocates PDF/flag fields for
-/// those blocks only, and advances the canonical time step:
+/// those blocks only, and advances every time step through one pipeline:
 ///
-///   1. ghost-layer PDF exchange — block-to-block copies of the slots a
-///      fluid cell reads for local neighbors ("fast local communication",
-///      lbm/GhostCopyPlan.h), packed BufferSystem messages for remote
-///      ones, direction-sliced to the 5/1/0 PDFs that actually cross each
+///   1. begin the ghost-layer exchange (sim/PdfCommScheme.h) — block-to-
+///      block copies of the slots a fluid cell reads for local neighbors
+///      (lbm/GhostCopyPlan.h), packed BufferSystem messages for remote
+///      ones, direction-sliced to the 5/1/0 PDFs that cross each
 ///      face/edge/corner;
-///   2. boundary handling per block;
-///   3. fused stream-pull-collide sweep over the fluid intervals;
-///   4. src/dst swap.
+///   2. core boundary links and core sweep;
+///   3. finish the exchange;
+///   4. shell boundary links and shell sweep;
+///   5. src/dst swap (two-grid tiers; the AA tiers advance their parity).
 ///
-/// A TimingPool records communication vs. compute time — the quantity
-/// behind the "% MPI communication" curves of Figure 6.
+/// Every sweep runs over fluid line intervals, whatever the kernel tier.
+/// The core/shell split of each block follows the communication ordering:
+/// overlapped, cells whose stencil reads a remote-backed ghost region are
+/// shell; synchronous, the exchange finishes before step 2 and the core is
+/// the whole block. A TimingPool records communication vs. compute time —
+/// the quantity behind the "% MPI communication" curves of Figure 6.
 
 #include <algorithm>
 #include <fstream>
 #include <functional>
-#include <map>
-#include <optional>
 
 #include "blockforest/BlockForest.h"
 #include "core/BinaryIO.h"
 #include "core/Logging.h"
 #include "core/Timer.h"
 #include "lbm/Boundary.h"
-#include "lbm/Communication.h"
-#include "lbm/GhostCopyPlan.h"
-#include "lbm/KernelAa.h"
-#include "lbm/KernelAaSimd.h"
-#include "lbm/KernelD3Q19Simd.h"
-#include "lbm/KernelGeneric.h"
 #include "lbm/Sparse.h"
 #include "obs/FlightRecorder.h"
-#include "vmpi/Tags.h"
 #include "obs/Metrics.h"
 #include "obs/PerfDiag.h"
 #include "obs/TimingReduction.h"
 #include "obs/Trace.h"
 #include "sim/Checkpoint.h"
 #include "sim/Health.h"
+#include "sim/PdfCommScheme.h"
 #include "sim/SingleBlockSimulation.h"
-#include "vmpi/BufferSystem.h"
 
 namespace walb::sim {
-
-/// Exchanges ghost-layer PDFs between all blocks of a forest.
-class PdfCommScheme {
-public:
-    using M = lbm::D3Q19;
-
-    /// What the exchange ships. TwoGrid is the classic post-collision ghost
-    /// fill; the AA modes are the parity-specific exchanges of the in-place
-    /// tiers (see lbm/Communication.h): AaForward before an odd step (ghost
-    /// fill, opposing slots), AaReverse before an even step (the sender's
-    /// ghost pushes travel back to the interior cells that own them). The
-    /// driver re-selects the mode before every exchange from its step
-    /// parity.
-    using ExchangeMode = lbm::GhostExchangeMode;
-
-    /// Where the scheme finds each block's fluid cells: the flag field's
-    /// block-data id and the fluid mask. With it, local copies move only
-    /// the slots a receiving fluid cell reads (lbm/GhostCopyPlan.h);
-    /// without it, the full direction-sliced slices.
-    struct FluidFlags {
-        bf::BlockForest::BlockDataID flagId;
-        field::flag_t fluid;
-    };
-
-    PdfCommScheme(bf::BlockForest& forest, vmpi::Comm& comm,
-                  bf::BlockForest::BlockDataID srcId,
-                  std::optional<FluidFlags> fluidFlags = std::nullopt)
-        : forest_(forest), comm_(comm), srcId_(srcId), fluidFlags_(fluidFlags),
-          bufferSystem_(comm, vmpi::tags::kGhostExchange) {
-        bufferSystem_.setReceiverInfo(std::vector<int>(forest.neighborProcesses().begin(),
-                                                       forest.neighborProcesses().end()));
-        // Map (sender block id, sender direction) -> local receiving block.
-        for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
-            for (const auto& n : forest_.blocks()[b].neighbors)
-                if (n.localIndex < 0)
-                    remoteSources_[{n.id, inverseDirIndex(n.dir)}] = b;
-    }
-
-    void setExchangeMode(ExchangeMode mode) { mode_ = mode; }
-    ExchangeMode exchangeMode() const { return mode_; }
-
-    /// Direct ghost copies between same-rank neighbor blocks, run from the
-    /// current mode's copy plan. Pure local memory traffic — no message
-    /// leaves the rank — so the drivers account it separately from the
-    /// exposed communication time. Must complete before any cell whose
-    /// stencil reads a locally-backed ghost slice is swept (such cells are
-    /// *core* in the overlap split, so this runs before the core sweep).
-    void copyLocalGhosts() {
-        copyPlan().execute([&](std::uint32_t b) -> lbm::PdfField& {
-            return forest_.getData<lbm::PdfField>(b, srcId_);
-        });
-    }
-
-    /// The current mode's local copy plan, built on first use — once per
-    /// mode for the lifetime of this scheme (a migration or recovery
-    /// rebuilds the scheme, and with it the plans).
-    const lbm::GhostCopyPlan& copyPlan() {
-        std::optional<lbm::GhostCopyPlan>& plan = plans_[std::size_t(mode_)];
-        if (!plan) plan = buildCopyPlan(mode_);
-        return *plan;
-    }
-
-    /// Bytes the local copies move per exchange in the current mode.
-    std::size_t localCopyBytes() { return copyPlan().bytes(); }
-
-    /// Packs one message per remote neighbor rank, ships them all and
-    /// starts expecting the incoming ones — the network half of phase 1.
-    void packAndPost() {
-        bytesLastExchange_ = 0;
-        const auto& blocks = forest_.blocks();
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            lbm::PdfField& src = forest_.getData<lbm::PdfField>(b, srcId_);
-            for (const auto& n : blocks[b].neighbors) {
-                if (n.localIndex >= 0) continue;
-                SendBuffer& buf = bufferSystem_.sendBuffer(int(n.process));
-                serializeBlockId(buf, blocks[b].id);
-                buf << std::uint8_t(lbm::dirIndex26(n.dir));
-                switch (mode_) {
-                    case ExchangeMode::TwoGrid:
-                        lbm::packPdfs<M>(src, n.dir, buf);
-                        break;
-                    case ExchangeMode::AaForward:
-                        lbm::packPdfsAaForward<M>(src, n.dir, buf);
-                        break;
-                    case ExchangeMode::AaReverse:
-                        lbm::packPdfsAaReverse<M>(src, n.dir, buf);
-                        break;
-                }
-            }
-        }
-        bytesLastExchange_ = bufferSystem_.totalSendBytes();
-        bufferSystem_.beginExchange();
-    }
-
-    /// Phase 1 of the split exchange: local ghost copies, then pack + ship
-    /// one message per remote neighbor rank and start expecting the
-    /// incoming ones. After this call the *core* cells (stencil never
-    /// reaches a remote-backed ghost slice) are ready to sweep; shell cells
-    /// must wait for finishExchange().
-    void beginExchange() {
-        copyLocalGhosts();
-        packAndPost();
-    }
-
-    /// Non-blocking: unpacks whatever ghost messages have already arrived
-    /// (each message writes only its own remote-backed ghost slices, which
-    /// core cells never read — safe to call between core sweeps). Returns
-    /// the number of messages drained.
-    std::size_t progress() {
-        return bufferSystem_.progress(
-            [&](int rank, RecvBuffer& buf) { unpackMessage(rank, buf); });
-    }
-
-    /// Blocks until every outstanding ghost message has arrived and is
-    /// unpacked (arrival order; BufferError and deadline misses surface as
-    /// structured CommErrors, see BufferSystem::finishExchange).
-    void finishExchange() {
-        bufferSystem_.finishExchange(
-            [&](int rank, RecvBuffer& buf) { unpackMessage(rank, buf); });
-    }
-
-    std::size_t pendingReceives() const { return bufferSystem_.pendingReceives(); }
-    bool exchangeInProgress() const { return bufferSystem_.exchangeInProgress(); }
-    void abortExchange() { bufferSystem_.abortExchange(); }
-
-    /// Performs one full (synchronous) ghost-layer synchronization of the
-    /// src fields. Message unpacks are disjoint per sender, so draining in
-    /// arrival order is bit-identical to any fixed order.
-    void communicate() {
-        beginExchange();
-        finishExchange();
-    }
-
-    std::size_t bytesLastExchange() const { return bytesLastExchange_; }
-
-    /// Traffic accounting of the underlying neighbor exchange (bytes and
-    /// message counts, per-exchange and cumulative) — the feed for the
-    /// simulation's metrics counters.
-    const vmpi::BufferSystem& bufferSystem() const { return bufferSystem_; }
-
-    static std::uint8_t inverseDirIndex(const std::array<int, 3>& d) {
-        return std::uint8_t(lbm::neighborhood26Inv[lbm::dirIndex26(d)]);
-    }
-
-private:
-    /// One plan for `mode` over every same-rank neighbor pair. The loop
-    /// order (sender block, then its neighbor list) is the order of the
-    /// former slice-by-slice copies; the written slots of different links
-    /// are disjoint, so the order does not affect the result.
-    lbm::GhostCopyPlan buildCopyPlan(ExchangeMode mode) {
-        lbm::GhostCopyPlan plan;
-        const auto& blocks = forest_.blocks();
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            const lbm::PdfField& from = forest_.getData<lbm::PdfField>(b, srcId_);
-            for (const auto& n : blocks[b].neighbors) {
-                if (n.localIndex < 0) continue;
-                const auto to = std::size_t(n.localIndex);
-                const field::FlagField* toFlags =
-                    fluidFlags_ ? &forest_.getData<field::FlagField>(to, fluidFlags_->flagId)
-                                : nullptr;
-                plan.addLink<M>(mode, std::uint32_t(b), from, std::uint32_t(to),
-                                forest_.getData<lbm::PdfField>(to, srcId_), n.dir, toFlags,
-                                fluidFlags_ ? fluidFlags_->fluid : field::flag_t(0));
-            }
-        }
-        return plan;
-    }
-
-    /// Unpacks one rank's ghost message into the ghost slices of the
-    /// receiving blocks. A truncated or corrupted payload (BufferError)
-    /// surfaces as CommError{Corrupt} naming the peer, exactly like a
-    /// deadline miss — no silent garbage (conversion done by the
-    /// BufferSystem's guarded delivery; the structural checks here throw
-    /// CommError directly).
-    void unpackMessage(int rank, RecvBuffer& buf) {
-        while (!buf.atEnd()) {
-            const bf::BlockID senderId = deserializeBlockId(buf);
-            std::uint8_t senderDir = 0;
-            buf >> senderDir;
-            if (senderDir >= 26)
-                throw makeCorruptError(rank, "ghost message names invalid direction " +
-                                                 std::to_string(int(senderDir)));
-            const auto it = remoteSources_.find({senderId, senderDir});
-            if (it == remoteSources_.end())
-                throw makeCorruptError(rank, "ghost message for a block this rank "
-                                             "does not border (corrupt block id?)");
-            lbm::PdfField& dst = forest_.getData<lbm::PdfField>(it->second, srcId_);
-            // Receiver-side direction: toward the sender block.
-            const auto& sd = lbm::neighborhood26[senderDir];
-            const std::array<int, 3> d = {-sd[0], -sd[1], -sd[2]};
-            switch (mode_) {
-                case ExchangeMode::TwoGrid:
-                    lbm::unpackPdfs<M>(dst, d, buf);
-                    break;
-                case ExchangeMode::AaForward:
-                    lbm::unpackPdfsAaForward<M>(dst, d, buf);
-                    break;
-                case ExchangeMode::AaReverse:
-                    lbm::unpackPdfsAaReverse<M>(dst, d, buf);
-                    break;
-            }
-        }
-    }
-
-    vmpi::CommError makeCorruptError(int rank, const std::string& detail) const {
-        return vmpi::CommError(vmpi::CommError::Kind::Corrupt, rank,
-                               vmpi::tags::kGhostExchange, 0.0,
-                               detail);
-    }
-
-    static void serializeBlockId(SendBuffer& buf, const bf::BlockID& id) {
-        buf << id.rootIndex() << std::uint8_t(id.level()) << id.path();
-    }
-    static bf::BlockID deserializeBlockId(RecvBuffer& buf) {
-        std::uint32_t root = 0;
-        std::uint8_t level = 0;
-        std::uint64_t path = 0;
-        buf >> root >> level >> path;
-        bf::BlockID id = bf::BlockID::root(root);
-        for (unsigned l = level; l > 0; --l) id = id.child((path >> (3 * (l - 1))) & 7u);
-        return id;
-    }
-
-    bf::BlockForest& forest_;
-    vmpi::Comm& comm_;
-    bf::BlockForest::BlockDataID srcId_;
-    std::optional<FluidFlags> fluidFlags_;
-    ExchangeMode mode_ = ExchangeMode::TwoGrid;
-    std::array<std::optional<lbm::GhostCopyPlan>, 3> plans_; ///< by ExchangeMode
-    vmpi::BufferSystem bufferSystem_;
-    std::map<std::pair<bf::BlockID, std::uint8_t>, std::size_t> remoteSources_;
-    std::size_t bytesLastExchange_ = 0;
-};
 
 class DistributedSimulation {
 public:
@@ -334,9 +97,6 @@ public:
         forest_ = bf::BlockForest(setup_, std::uint32_t(comm_->rank()));
         boundaries_.clear();
         runs_.clear();
-        cellLists_.clear();
-        coreShellRuns_.clear();
-        coreShellCells_.clear();
         buildBlockData();
     }
 
@@ -564,22 +324,23 @@ public:
         return vmpi::allreduceSum(*comm_, std::uint64_t(localFluidCells()));
     }
 
-    /// Selects the communication-hiding step schedule: ghost sends are
-    /// posted first, core cells (stencil never reaches a remote-backed
-    /// ghost slice) are swept while the halos are in flight, and the shell
-    /// cells follow once finishExchange() has drained them. Bit-exact with
-    /// the synchronous schedule — shell cells only run after their halos
-    /// landed, and core/shell covers every fluid cell exactly once.
-    void setOverlapCommunication(bool on) { overlap_ = on; }
+    /// Selects the communication ordering of the step pipeline. Overlapped:
+    /// ghost sends are posted first, core cells (stencil never reaches a
+    /// remote-backed ghost slice) are swept while the halos are in flight,
+    /// and the shell cells follow once finishExchange() has drained them.
+    /// Synchronous (the default): the exchange finishes before the core
+    /// phase, and the core is the whole block. Bit-exact either way — shell
+    /// cells only run after their halos landed, and core/shell covers every
+    /// fluid cell exactly once. A change rebuilds the core/shell split.
+    void setOverlapCommunication(bool on) {
+        if (on == overlap_) return;
+        overlap_ = on;
+        buildCoreShellSplit();
+    }
     bool overlapCommunication() const { return overlap_; }
 
-    /// Core/shell split sizes of the current block assignment (rebuilt by
-    /// buildBlockData after every migration).
-    uint_t localCoreCells() const {
-        uint_t n = 0;
-        for (const auto& cs : coreShellRuns_) n += cs.core.fluidCells;
-        return n;
-    }
+    /// Shell size of the current block assignment and ordering (empty under
+    /// the synchronous ordering).
     uint_t localShellCells() const {
         uint_t n = 0;
         for (const auto& cs : coreShellRuns_) n += cs.shell.fluidCells;
@@ -587,9 +348,10 @@ public:
     }
 
     /// Cumulative seconds of ghost-exchange latency that were overlapped
-    /// with (hidden behind) the core sweep, resp. left exposed on the
-    /// critical path (pack/send + blocking drain). Sync schedule: all
-    /// exposed. Feeds `comm.hidden_seconds` / `comm.exposed_seconds` /
+    /// with (hidden behind) the core phase, resp. left exposed on the
+    /// critical path (pack/send + blocking drain). Synchronous ordering:
+    /// nothing runs inside the arrival window, so all of it is exposed.
+    /// Feeds `comm.hidden_seconds` / `comm.exposed_seconds` /
     /// `comm.hidden_fraction`.
     double commHiddenSeconds() const { return commHiddenSeconds_; }
     double commExposedSeconds() const { return commExposedSeconds_; }
@@ -612,7 +374,7 @@ public:
 
         Timer wall;
         wall.start();
-        for (uint_t step = 0; step < numSteps; ++step) {
+        for (uint_t i = 0; i < numSteps; ++i) {
             if (preStep_) preStep_(currentStep_);
             // The structural hook may replace forest_/comm_scheme_ (block
             // migration), so per-step state is re-read below, never cached
@@ -621,8 +383,7 @@ public:
             const double boundary0 = boundaryTimer.total();
             const double collide0 = collideTimer.total();
             const auto step0 = std::chrono::steady_clock::now();
-            if (overlap_) stepOverlapped(op);
-            else stepSynchronous(op);
+            step(op);
             const double stepSeconds =
                 elapsedSeconds(step0, std::chrono::steady_clock::now());
             const vmpi::BufferSystem& bs = comm_scheme_->bufferSystem();
@@ -811,66 +572,28 @@ private:
     Vec3 wallVelocity_{0, 0, 0};
     real_t pressureDensity_ = real_c(1);
 
-    static double elapsedSeconds(std::chrono::steady_clock::time_point a,
-                                 std::chrono::steady_clock::time_point b) {
+    using Clock = std::chrono::steady_clock;
+
+    static double elapsedSeconds(Clock::time_point a, Clock::time_point b) {
         return std::chrono::duration<double>(b - a).count();
     }
 
-    /// One fluid sweep of block b restricted to the given run/cell subset
-    /// (whole block, core or shell), dispatched by kernel tier. The Generic
-    /// tier runs its per-cell kernel over the run list — the run lists hold
-    /// exactly the flag-tested fluid cells, so results are bit-identical to
-    /// the whole-interior flag-tested sweep.
-    ///
-    /// `chunk`/`numChunks` select a contiguous slice of the subset (runs for
-    /// the interval tiers, cells for the cell-list tier); the overlapped
-    /// schedule sweeps in several chunks so it can poll for halo arrivals
-    /// between them. The union over all chunks is exactly the full subset,
-    /// and every cell is updated by the same kernel either way.
+    /// One fluid sweep of block b over `chunk` of `numChunks` contiguous
+    /// slices of a run subset (whole block, core or shell). The core phase
+    /// sweeps in several chunks while an exchange is in flight, so it can
+    /// poll for halo arrivals between them; the union over all chunks is
+    /// exactly the subset, and every cell is updated by the same kernel
+    /// either way. An empty slice costs no kernel call.
     template <typename Op>
-    void sweepSubset(std::size_t b, const lbm::FluidRunList& runs,
-                     const std::vector<Cell>& cells, const Op& op,
-                     std::size_t chunk = 0, std::size_t numChunks = 1) {
-        auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
-        auto& dst = forest_.getData<lbm::PdfField>(b, dstId_);
-        const auto slice = [&](std::size_t n) {
-            return std::pair<std::size_t, std::size_t>{n * chunk / numChunks,
-                                                       n * (chunk + 1) / numChunks};
-        };
+    void sweepSubset(std::size_t b, const lbm::FluidRunList& runs, lbm::AaParity parity,
+                     const Op& op, std::size_t chunk = 0, std::size_t numChunks = 1) {
+        const std::size_t lo = runs.runs.size() * chunk / numChunks;
+        const std::size_t hi = runs.runs.size() * (chunk + 1) / numChunks;
+        if (lo == hi) return;
         const auto sweepBegin = std::chrono::steady_clock::now();
-        switch (tier_) {
-            case KernelTier::Generic: {
-                const auto [lo, hi] = slice(runs.runs.size());
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const auto& r = runs.runs[i];
-                    for (cell_idx_t x = r.xBegin; x <= r.xEnd; ++x)
-                        lbm::streamCollideGenericCell<M>(src, dst, x, r.y, r.z, op);
-                }
-                break;
-            }
-            case KernelTier::D3Q19: {
-                const auto [lo, hi] = slice(cells.size());
-                lbm::streamCollideCellList(src, dst, cells.data() + lo, hi - lo, op);
-                break;
-            }
-            case KernelTier::Simd: {
-                const auto [lo, hi] = slice(runs.runs.size());
-                lbm::streamCollideRuns(src, dst, runs.runs.data() + lo, hi - lo, op,
-                                       simdKernel_);
-                break;
-            }
-            case KernelTier::Aa: {
-                const auto [lo, hi] = slice(cells.size());
-                lbm::aaCollideCellList(src, aaParity(), cells.data() + lo, hi - lo, op);
-                break;
-            }
-            case KernelTier::AaSimd: {
-                const auto [lo, hi] = slice(runs.runs.size());
-                lbm::aaCollideRuns(src, aaParity(), runs.runs.data() + lo, hi - lo, op,
-                                   aaSimdKernel_);
-                break;
-            }
-        }
+        sweepRuns(tier_, forest_.getData<lbm::PdfField>(b, srcId_),
+                  forest_.getData<lbm::PdfField>(b, dstId_), parity, runs.runs.data() + lo,
+                  hi - lo, op, kernels_);
         blockSweepSeconds_[b] +=
             elapsedSeconds(sweepBegin, std::chrono::steady_clock::now());
     }
@@ -915,172 +638,132 @@ private:
         WALB_LOG_ERROR("step " << currentStep_ << ": ghost exchange failed: " << e.what());
     }
 
-    /// The original blocking schedule: full ghost exchange, then boundary
-    /// handling, then the fluid sweep. All communication time is exposed.
+    /// One time step of the pipeline described in the file comment. The
+    /// streaming state (two-grid, AA even, AA odd) is resolved once here;
+    /// the exchange mode, the boundary phases and the sweeps all follow it.
+    /// The synchronous ordering is the same pipeline with the exchange
+    /// finished inside the first communication phase; its core is the whole
+    /// block, so it has no shell phase. src/dst swap happens at the very
+    /// end: a pull-scheme step only reads src and writes dst, and blocks
+    /// never read each other's fields directly, so deferring the per-block
+    /// swap is bit-exact.
     template <typename Op>
-    void stepSynchronous(const Op& op) {
+    void step(const Op& op) {
         stepPackSeconds_ = stepExchangeSeconds_ = stepShellSeconds_ = 0.0;
-        syncExchangeMode();
-        try {
-            ScopedTimer t(timing_["communication"]);
-            obs::ScopedTrace tr(trace_, "communication");
-            // Local same-rank ghost copies are memory traffic, not exposed
-            // network time — excluded from the exposed gauge in both
-            // schedules so sync and overlap numbers stay comparable.
-            comm_scheme_->copyLocalGhosts();
-            const auto t0 = std::chrono::steady_clock::now();
-            comm_scheme_->packAndPost();
-            const auto t1 = std::chrono::steady_clock::now();
-            comm_scheme_->finishExchange();
-            const auto t2 = std::chrono::steady_clock::now();
-            stepPackSeconds_ = elapsedSeconds(t0, t1);
-            stepExchangeSeconds_ = elapsedSeconds(t1, t2);
-            commExposedSeconds_ += elapsedSeconds(t0, t2);
-        } catch (const vmpi::CommError& e) {
-            logExchangeError(e);
-            throw;
+        const lbm::AaParity parity = aaParity();
+        const lbm::Streaming streaming = lbm::streamingOf(usesAaPattern(), parity);
+        comm_scheme_->setExchangeMode(exchangeModeFor(streaming));
+        Clock::time_point posted, lastArrival;
+        communicationPhase([&] {
+            posted = lastArrival = beginExchange();
+            if (!overlap_) finishExchange(lastArrival);
+        });
+        const Clock::time_point coreBegin = Clock::now();
+        sweepPhase(true, streaming, parity, op, lastArrival);
+        const Clock::time_point coreEnd = Clock::now();
+        if (overlap_) {
+            communicationPhase([&] { finishExchange(lastArrival); });
+            stepShellSeconds_ = sweepPhase(false, streaming, parity, op, lastArrival);
         }
-        {
-            ScopedTimer t(timing_["boundary"]);
-            obs::ScopedTrace tr(trace_, "boundary");
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
-                if (usesAaPattern()) boundaries_[b]->applyAa(src, aaParity());
-                else boundaries_[b]->apply(src);
-            }
-        }
-        {
-            ScopedTimer t(timing_["collideStream"]);
-            obs::ScopedTrace tr(trace_, "collideStream");
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                sweepSubset(b, runs_[b], cellLists_[b], op);
-                if (!usesAaPattern())
-                    forest_.getData<lbm::PdfField>(b, srcId_)
-                        .swapDataWith(forest_.getData<lbm::PdfField>(b, dstId_));
-            }
-            applySweepThrottle();
-        }
-    }
-
-    /// The communication-hiding schedule (tentpole of the overlap issue):
-    ///
-    ///   1. beginExchange — local ghost copies, pack + post remote sends,
-    ///      start expecting the halo messages;
-    ///   2. core boundary links + core sweep while halos are in flight,
-    ///      draining arrivals opportunistically between blocks (unpack
-    ///      writes only remote-backed ghost slices, which no core cell
-    ///      reads);
-    ///   3. finishExchange — block for the remaining halos, then shell
-    ///      boundary links (their slots would be clobbered by unpack, and
-    ///      their readers are provably shell cells) and the shell sweep.
-    ///
-    /// src/dst swap happens at the very end: a pull-scheme step only reads
-    /// src and writes dst, and blocks never read each other's fields
-    /// directly, so deferring the per-block swap is bit-exact.
-    ///
-    /// Accounting: exposed = pack/send + blocking-drain time on the
-    /// critical path; hidden = the part of the halo-arrival window
-    /// (beginExchange end -> last arrival) covered by the core sweep.
-    template <typename Op>
-    void stepOverlapped(const Op& op) {
-        stepPackSeconds_ = stepExchangeSeconds_ = stepShellSeconds_ = 0.0;
-        syncExchangeMode();
-        std::chrono::steady_clock::time_point beginEnd;
-        double exposed = 0;
-        try {
-            ScopedTimer t(timing_["communication"]);
-            obs::ScopedTrace tr(trace_, "communication");
-            // Local copies excluded from the exposed gauge, as in
-            // stepSynchronous.
-            comm_scheme_->copyLocalGhosts();
-            const auto t0 = std::chrono::steady_clock::now();
-            comm_scheme_->packAndPost();
-            beginEnd = std::chrono::steady_clock::now();
-            exposed += elapsedSeconds(t0, beginEnd);
-            commBeginSeconds_ += elapsedSeconds(t0, beginEnd);
-            stepPackSeconds_ = elapsedSeconds(t0, beginEnd);
-        } catch (const vmpi::CommError& e) {
-            logExchangeError(e);
-            throw;
-        }
-        auto lastArrival = beginEnd;
-
-        {
-            ScopedTimer t(timing_["boundary"]);
-            obs::ScopedTrace tr(trace_, "boundary");
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
-                if (usesAaPattern()) {
-                    // The in-place core sweep rewrites the slots the shell
-                    // pressure links' velocity gather reads, so the gather
-                    // runs now, from the pre-sweep state; applyAaShell
-                    // writes the stashed values after finishExchange.
-                    boundaries_[b]->precomputeAaShellPressure(src, aaParity());
-                    boundaries_[b]->applyAaCore(src, aaParity());
-                } else {
-                    boundaries_[b]->applyCore(src);
-                }
-            }
-        }
-        {
-            ScopedTimer t(timing_["collideStream"]);
-            obs::ScopedTrace tr(trace_, "collideStream");
-            // Sweep each block's core in chunks, polling for halo arrivals
-            // in between: the earlier an arrival is drained, the more of the
-            // exchange latency the sweep hides.
-            constexpr std::size_t kArrivalPollChunks = 8;
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                for (std::size_t chunk = 0; chunk < kArrivalPollChunks; ++chunk) {
-                    sweepSubset(b, coreShellRuns_[b].core, coreShellCells_[b].core, op,
-                                chunk, kArrivalPollChunks);
-                    if (comm_scheme_->exchangeInProgress() &&
-                        comm_scheme_->progress() > 0)
-                        lastArrival = std::chrono::steady_clock::now();
-                }
-            }
-        }
-        try {
-            ScopedTimer t(timing_["communication"]);
-            obs::ScopedTrace tr(trace_, "communication");
-            const bool pendingBefore = comm_scheme_->pendingReceives() > 0;
-            const auto f0 = std::chrono::steady_clock::now();
-            comm_scheme_->finishExchange();
-            const auto f1 = std::chrono::steady_clock::now();
-            if (pendingBefore) lastArrival = f1;
-            const double finishSeconds = elapsedSeconds(f0, f1);
-            exposed += finishSeconds;
-            commFinishSeconds_ += finishSeconds;
-            stepExchangeSeconds_ = finishSeconds;
-            commHiddenSeconds_ +=
-                std::max(0.0, elapsedSeconds(beginEnd, lastArrival) - finishSeconds);
-        } catch (const vmpi::CommError& e) {
-            logExchangeError(e);
-            throw;
-        }
-        commExposedSeconds_ += exposed;
-
-        {
-            ScopedTimer t(timing_["boundary"]);
-            obs::ScopedTrace tr(trace_, "boundary");
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
-                auto& src = forest_.getData<lbm::PdfField>(b, srcId_);
-                if (usesAaPattern()) boundaries_[b]->applyAaShell(src, aaParity());
-                else boundaries_[b]->applyShell(src);
-            }
-        }
-        {
-            ScopedTimer t(timing_["collideStream"]);
-            obs::ScopedTrace tr(trace_, "collideStream");
-            const auto shell0 = std::chrono::steady_clock::now();
-            for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
-                sweepSubset(b, coreShellRuns_[b].shell, coreShellCells_[b].shell, op);
-            applySweepThrottle();
-            stepShellSeconds_ = elapsedSeconds(shell0, std::chrono::steady_clock::now());
-        }
-        if (!usesAaPattern())
+        // Hidden: the part of the arrival window (sends posted -> last
+        // arrival) that the core phase covered. The synchronous ordering
+        // starts its core phase after the last arrival, so this adds 0.
+        commHiddenSeconds_ += std::max(
+            0.0, elapsedSeconds(std::max(posted, coreBegin), std::min(lastArrival, coreEnd)));
+        if (streaming == lbm::Streaming::TwoGrid)
             for (std::size_t b = 0; b < forest_.blocks().size(); ++b)
                 forest_.getData<lbm::PdfField>(b, srcId_)
                     .swapDataWith(forest_.getData<lbm::PdfField>(b, dstId_));
+    }
+
+    /// Boundary links, then the sweep, of the core (resp. shell) part of
+    /// every block, under the `boundary` and `collideStream` phase timers.
+    /// While an exchange is in flight each block's part is swept in chunks
+    /// with arrivals drained in between: the earlier an arrival is drained,
+    /// the more of the exchange latency the sweep hides. The step's last
+    /// sweep phase carries the sweep throttle. Returns the seconds of the
+    /// sweep (throttle included).
+    template <typename Op>
+    double sweepPhase(bool core, lbm::Streaming streaming, lbm::AaParity parity, const Op& op,
+                      Clock::time_point& lastArrival) {
+        {
+            ScopedTimer t(timing_["boundary"]);
+            obs::ScopedTrace tr(trace_, "boundary");
+            for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
+                if (core) boundaries_[b]->applyCore(pdfField(b), streaming);
+                else boundaries_[b]->applyShell(pdfField(b), streaming);
+            }
+        }
+        ScopedTimer t(timing_["collideStream"]);
+        obs::ScopedTrace tr(trace_, "collideStream");
+        const Clock::time_point sweep0 = Clock::now();
+        constexpr std::size_t kArrivalPollChunks = 8;
+        for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
+            const lbm::FluidRunList& runs =
+                core ? coreShellRuns_[b].core : coreShellRuns_[b].shell;
+            const std::size_t chunks =
+                comm_scheme_->exchangeInProgress() ? kArrivalPollChunks : 1;
+            for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+                sweepSubset(b, runs, parity, op, chunk, chunks);
+                if (comm_scheme_->exchangeInProgress() && comm_scheme_->progress() > 0)
+                    lastArrival = Clock::now();
+            }
+        }
+        if (!core || !overlap_) applySweepThrottle();
+        return elapsedSeconds(sweep0, Clock::now());
+    }
+
+    /// Runs `fn` under the `communication` phase timer; a CommError it
+    /// raises is logged (and counted) before it propagates.
+    template <typename Fn>
+    void communicationPhase(const Fn& fn) {
+        try {
+            ScopedTimer t(timing_["communication"]);
+            obs::ScopedTrace tr(trace_, "communication");
+            fn();
+        } catch (const vmpi::CommError& e) {
+            logExchangeError(e);
+            throw;
+        }
+    }
+
+    /// First half of the step's exchange: local ghost copies, then pack and
+    /// post the remote sends. Returns when the sends were posted. Local
+    /// copies are memory traffic, not network time, so they are left out of
+    /// the exposed gauge.
+    Clock::time_point beginExchange() {
+        comm_scheme_->copyLocalGhosts();
+        const Clock::time_point t0 = Clock::now();
+        comm_scheme_->packAndPost();
+        const Clock::time_point posted = Clock::now();
+        stepPackSeconds_ = elapsedSeconds(t0, posted);
+        commBeginSeconds_ += stepPackSeconds_;
+        commExposedSeconds_ += stepPackSeconds_;
+        return posted;
+    }
+
+    /// Second half: blocks until every halo message is unpacked. Moves
+    /// `lastArrival` to the end of the drain if messages were still pending.
+    void finishExchange(Clock::time_point& lastArrival) {
+        const bool pendingBefore = comm_scheme_->pendingReceives() > 0;
+        const Clock::time_point f0 = Clock::now();
+        comm_scheme_->finishExchange();
+        const Clock::time_point f1 = Clock::now();
+        if (pendingBefore) lastArrival = f1;
+        stepExchangeSeconds_ = elapsedSeconds(f0, f1);
+        commFinishSeconds_ += stepExchangeSeconds_;
+        commExposedSeconds_ += stepExchangeSeconds_;
+    }
+
+    /// Ghost-exchange mode of a streaming state: the AA odd step opens with
+    /// the forward (ghost-fill) exchange, the even step with the reverse one.
+    static PdfCommScheme::ExchangeMode exchangeModeFor(lbm::Streaming s) {
+        switch (s) {
+            case lbm::Streaming::AaOdd: return PdfCommScheme::ExchangeMode::AaForward;
+            case lbm::Streaming::AaEven: return PdfCommScheme::ExchangeMode::AaReverse;
+            case lbm::Streaming::TwoGrid: break;
+        }
+        return PdfCommScheme::ExchangeMode::TwoGrid;
     }
 
     /// Calls fn(pointer, count) for every contiguous span of block `block`'s
@@ -1106,8 +789,8 @@ private:
 
     /// (Re)creates every per-block datum of the current forest_: PDF fields
     /// (equilibrium-initialized), flag fields (derived through initFlags_),
-    /// boundary handlings, fluid runs/cell lists, the ghost-exchange scheme
-    /// and the per-block sweep-time accumulators. Shared by the constructor
+    /// boundary handlings, fluid runs and their core/shell split, the
+    /// ghost-exchange scheme and the per-block sweep-time accumulators. Shared by the constructor
     /// and applyBlockAssignment().
     void buildBlockData() {
         const cell_idx_t cx = forest_.cellsX(), cy = forest_.cellsY(), cz = forest_.cellsZ();
@@ -1133,7 +816,6 @@ private:
             boundaries_.back()->setWallVelocity(wallVelocity_);
             boundaries_.back()->setPressureDensity(pressureDensity_);
             runs_.push_back(lbm::buildFluidRuns(flags, masks_.fluid));
-            cellLists_.push_back(lbm::buildFluidCellList(flags, masks_.fluid));
             // Uniform equilibrium including ghosts is also a valid AA state
             // at the initial parity (Even): pdf(x, a) = P(x - e_a, a) holds
             // trivially when every cell carries the same PDF set. After a
@@ -1143,29 +825,8 @@ private:
             if (!usesAaPattern())
                 lbm::initEquilibrium<M>(forest_.getData<lbm::PdfField>(b, dstId_), 1.0,
                                         {0, 0, 0});
-
-            // Split plan for the overlapped schedule (always built — cheap,
-            // and rebalance migrations rebuild it here automatically). A
-            // ghost region backed by a block on *another rank* is filled by
-            // a halo message; everything it feeds is shell.
-            std::array<bool, 26> remote{};
-            for (const auto& n : forest_.blocks()[b].neighbors)
-                if (n.localIndex < 0) remote[lbm::dirIndex26(n.dir)] = true;
-            coreShellRuns_.push_back(
-                lbm::splitFluidRuns<M>(runs_[b], cx, cy, cz, remote));
-            coreShellCells_.push_back(
-                lbm::splitFluidCellList<M>(cellLists_[b], cx, cy, cz, remote));
-            // Boundary links whose boundary cell sits in a remote-backed
-            // ghost slice are overwritten by the unpack: apply them after
-            // finishExchange (their unique readers are shell cells).
-            boundaries_.back()->partitionForOverlap([&](const Cell& c) {
-                const std::array<int, 3> g = {c.x < 0 ? -1 : (c.x >= cx ? 1 : 0),
-                                              c.y < 0 ? -1 : (c.y >= cy ? 1 : 0),
-                                              c.z < 0 ? -1 : (c.z >= cz ? 1 : 0)};
-                if (g[0] == 0 && g[1] == 0 && g[2] == 0) return false;
-                return remote[lbm::dirIndex26(g)];
-            });
         }
+        buildCoreShellSplit();
         comm_scheme_ = std::make_unique<PdfCommScheme>(
             forest_, *comm_, srcId_, PdfCommScheme::FluidFlags{flagId_, masks_.fluid});
         syncExchangeMode();
@@ -1179,14 +840,36 @@ private:
         metrics_.gauge("mem.pdf_bytes").set(double(pdfBytes));
     }
 
-    /// Points the ghost-exchange scheme at the mode matching the kernel
-    /// tier and (for AA) the current step parity. Called before every
-    /// exchange — parity advances every step.
+    /// Splits every block's fluid runs and boundary links into core and
+    /// shell for the active communication ordering. Overlapped: a ghost
+    /// region backed by a block on *another rank* is filled by a halo
+    /// message, so the cells that read it are shell, and so are the links
+    /// whose boundary slot the unpack overwrites (their unique readers are
+    /// shell cells). Synchronous: the exchange has finished before the core
+    /// phase, so the remote mask is empty and the core is the whole block.
+    void buildCoreShellSplit() {
+        const cell_idx_t cx = forest_.cellsX(), cy = forest_.cellsY(), cz = forest_.cellsZ();
+        coreShellRuns_.clear();
+        for (std::size_t b = 0; b < forest_.blocks().size(); ++b) {
+            std::array<bool, 26> remote{};
+            if (overlap_)
+                for (const auto& n : forest_.blocks()[b].neighbors)
+                    if (n.localIndex < 0) remote[lbm::dirIndex26(n.dir)] = true;
+            coreShellRuns_.push_back(lbm::splitFluidRuns<M>(runs_[b], cx, cy, cz, remote));
+            boundaries_[b]->partitionForOverlap([&](const Cell& c) {
+                const std::array<int, 3> g = {c.x < 0 ? -1 : (c.x >= cx ? 1 : 0),
+                                              c.y < 0 ? -1 : (c.y >= cy ? 1 : 0),
+                                              c.z < 0 ? -1 : (c.z >= cz ? 1 : 0)};
+                if (g[0] == 0 && g[1] == 0 && g[2] == 0) return false;
+                return remote[lbm::dirIndex26(g)];
+            });
+        }
+    }
+
+    /// Points the ghost-exchange scheme at the mode of the next step.
     void syncExchangeMode() {
-        if (!usesAaPattern()) return; // schemes default to TwoGrid
-        comm_scheme_->setExchangeMode(aaParity() == lbm::AaParity::Odd
-                                          ? PdfCommScheme::ExchangeMode::AaForward
-                                          : PdfCommScheme::ExchangeMode::AaReverse);
+        comm_scheme_->setExchangeMode(
+            exchangeModeFor(lbm::streamingOf(usesAaPattern(), aaParity())));
     }
 
     /// Last-breath diagnostics: when a CommError surfaces on this rank
@@ -1212,16 +895,13 @@ private:
     bf::BlockForest::BlockDataID srcId_ = 0, dstId_ = 0, flagId_ = 0;
     std::vector<std::unique_ptr<lbm::BoundaryHandling<M>>> boundaries_;
     std::vector<lbm::FluidRunList> runs_;
-    std::vector<std::vector<Cell>> cellLists_;
     std::vector<lbm::CoreShellRuns> coreShellRuns_;
-    std::vector<lbm::CoreShellCells> coreShellCells_;
     bool overlap_ = false;
     double commHiddenSeconds_ = 0.0;
     double commExposedSeconds_ = 0.0;
-    double commBeginSeconds_ = 0.0;  ///< pack + send posting (overlap mode)
-    double commFinishSeconds_ = 0.0; ///< blocking drain (overlap mode)
-    lbm::KernelD3Q19Simd<> simdKernel_;
-    lbm::KernelAaSimd<> aaSimdKernel_;
+    double commBeginSeconds_ = 0.0;  ///< pack + send posting (both orderings)
+    double commFinishSeconds_ = 0.0; ///< blocking drain (both orderings)
+    SimdKernels kernels_;
     std::unique_ptr<PdfCommScheme> comm_scheme_;
     TimingPool timing_;
     obs::MetricsRegistry metrics_;
@@ -1244,7 +924,7 @@ private:
     std::int64_t firstStragglerStep_ = -1;
     double perfReferenceMlups_ = 0.0;
     std::chrono::microseconds sweepThrottle_{0};
-    // Per-step phase scratch, reset at the top of each step schedule and
+    // Per-step phase scratch, reset at the top of each step() and
     // harvested into the StepSample by run().
     double stepPackSeconds_ = 0.0;
     double stepExchangeSeconds_ = 0.0;

@@ -6,11 +6,12 @@
 ///
 ///   1. communication — here: periodic wrap of the ghost layers,
 ///   2. boundary handling — write boundary values into boundary-cell slots,
-///   3. fused stream-pull-collide sweep over fluid cells,
+///   3. fused stream-pull-collide sweep over the fluid line intervals,
 ///   4. src/dst swap.
 ///
 /// The multi-block distributed driver (sim/DistributedSimulation.h) runs
-/// the same sequence with real ghost-layer exchange via vmpi.
+/// the same sequence with real ghost-layer exchange via vmpi; both sweep
+/// through sweepRuns(), the one kernel-tier dispatch.
 
 #include <cstdint>
 #include <functional>
@@ -45,6 +46,54 @@ constexpr bool isAaTier(KernelTier t) {
 static_assert(int(KernelTier::Generic) == 0 && int(KernelTier::D3Q19) == 1 &&
               int(KernelTier::Simd) == 2 && int(KernelTier::Aa) == 3 &&
               int(KernelTier::AaSimd) == 4);
+
+/// Row kernels of the SIMD tiers. Each holds per-thread scratch buffers, so
+/// a driver keeps one set for its lifetime.
+struct SimdKernels {
+    lbm::KernelD3Q19Simd<> twoGrid;
+    lbm::KernelAaSimd<> aa;
+};
+
+/// One fluid sweep over the runs [runs, runs + numRuns) with the kernel of
+/// `tier` (`parity` selects the AA kernel; the two-grid tiers ignore it).
+/// The scalar tiers run their per-cell kernel along each run: the runs hold
+/// exactly the fluid cells and cell updates are order-independent, so the
+/// result is bit-identical to a flag-tested whole-interior sweep. An empty
+/// range makes no kernel call (the SIMD sweeps would open an OpenMP region).
+template <typename Op>
+void sweepRuns(KernelTier tier, lbm::PdfField& src, lbm::PdfField& dst, lbm::AaParity parity,
+               const lbm::FluidRun* runs, std::size_t numRuns, const Op& op,
+               SimdKernels& simd) {
+    if (numRuns == 0) return;
+    const auto eachCell = [&](const auto& update) {
+        for (std::size_t i = 0; i < numRuns; ++i)
+            for (cell_idx_t x = runs[i].xBegin; x <= runs[i].xEnd; ++x)
+                update(x, runs[i].y, runs[i].z);
+    };
+    switch (tier) {
+        case KernelTier::Generic:
+            eachCell([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                lbm::streamCollideGenericCell<lbm::D3Q19>(src, dst, x, y, z, op);
+            });
+            break;
+        case KernelTier::D3Q19:
+            eachCell([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                lbm::streamCollideCell(src, dst, x, y, z, op);
+            });
+            break;
+        case KernelTier::Simd:
+            lbm::streamCollideRuns(src, dst, runs, numRuns, op, simd.twoGrid);
+            break;
+        case KernelTier::Aa:
+            eachCell([&](cell_idx_t x, cell_idx_t y, cell_idx_t z) {
+                lbm::aaCell(src, parity, x, y, z, op);
+            });
+            break;
+        case KernelTier::AaSimd:
+            lbm::aaCollideRuns(src, parity, runs, numRuns, op, simd.aa);
+            break;
+    }
+}
 
 class SingleBlockSimulation {
 public:
@@ -100,7 +149,7 @@ public:
         // cell carries the same PDF set.
         lbm::initEquilibrium<M>(src_, rho, u);
         if (!isAaTier(cfg_.tier)) lbm::initEquilibrium<M>(dst_, rho, u);
-        fluidCells_ = flags_.count(masks_.fluid);
+        runs_ = lbm::buildFluidRuns(flags_, masks_.fluid);
     }
 
     lbm::BoundaryHandling<M>& boundary() {
@@ -108,7 +157,7 @@ public:
         return *boundary_;
     }
 
-    uint_t fluidCells() const { return fluidCells_; }
+    uint_t fluidCells() const { return runs_.fluidCells; }
 
     /// Advances the simulation by n time steps with the given collision
     /// operator (SRT or TRT). The canonical phases are recorded in the
@@ -122,32 +171,33 @@ public:
         Timer wall;
         wall.start();
         for (uint_t step = 0; step < n; ++step) {
-            const lbm::AaParity parity = lbm::aaParityOfStep(currentStep_);
+            const lbm::AaParity parity = aaParity();
+            const lbm::Streaming streaming = lbm::streamingOf(isAaTier(cfg_.tier), parity);
             {
                 ScopedTimer t(timing_["communication"]);
                 obs::ScopedTrace tr(trace_, "communication");
-                applyPeriodicity(parity);
+                applyPeriodicity(streaming);
             }
             {
                 ScopedTimer t(timing_["boundary"]);
                 obs::ScopedTrace tr(trace_, "boundary");
-                if (isAaTier(cfg_.tier)) boundary_->applyAa(src_, parity);
-                else boundary_->apply(src_);
+                boundary_->apply(src_, streaming);
             }
             {
                 ScopedTimer t(timing_["collideStream"]);
                 obs::ScopedTrace tr(trace_, "collideStream");
-                sweep(op, parity);
+                sweepRuns(cfg_.tier, src_, dst_, parity, runs_.runs.data(), runs_.runs.size(),
+                          op, kernels_);
             }
-            if (!isAaTier(cfg_.tier)) src_.swapDataWith(dst_);
+            if (streaming == lbm::Streaming::TwoGrid) src_.swapDataWith(dst_);
             ++currentStep_;
             steps.inc();
         }
         wall.stop();
         if (wall.total() > 0)
-            metrics_.gauge("sim.mlups").set(double(fluidCells_) * double(n) / wall.total() /
+            metrics_.gauge("sim.mlups").set(double(fluidCells()) * double(n) / wall.total() /
                                             1e6);
-        metrics_.gauge("sim.fluidCells").set(double(fluidCells_));
+        metrics_.gauge("sim.fluidCells").set(double(fluidCells()));
         metrics_.gauge("mem.pdf_bytes")
             .set(double((src_.allocCells() + dst_.allocCells()) * sizeof(real_t)));
     }
@@ -188,44 +238,18 @@ public:
     }
 
 private:
-    void applyPeriodicity(lbm::AaParity parity) {
+    void applyPeriodicity(lbm::Streaming streaming) {
         if (!cfg_.periodicX && !cfg_.periodicY && !cfg_.periodicZ) return;
         for (const auto& d : lbm::neighborhood26) {
             if (d[0] != 0 && !cfg_.periodicX) continue;
             if (d[1] != 0 && !cfg_.periodicY) continue;
             if (d[2] != 0 && !cfg_.periodicZ) continue;
-            if (!isAaTier(cfg_.tier)) lbm::copyPdfsLocal<M>(src_, src_, d);
-            else if (parity == lbm::AaParity::Odd) lbm::aaCopyPdfsLocalForward<M>(src_, src_, d);
-            else lbm::aaCopyPdfsLocalReverse<M>(src_, src_, d);
+            switch (streaming) {
+                case lbm::Streaming::TwoGrid: lbm::copyPdfsLocal<M>(src_, src_, d); break;
+                case lbm::Streaming::AaOdd: lbm::aaCopyPdfsLocalForward<M>(src_, src_, d); break;
+                case lbm::Streaming::AaEven: lbm::aaCopyPdfsLocalReverse<M>(src_, src_, d); break;
+            }
         }
-    }
-
-    template <typename Op>
-    void sweep(const Op& op, lbm::AaParity parity) {
-        switch (cfg_.tier) {
-            case KernelTier::Generic:
-                lbm::streamCollideGeneric<M>(src_, dst_, op, &flags_, masks_.fluid);
-                break;
-            case KernelTier::D3Q19:
-                lbm::streamCollideD3Q19(src_, dst_, op, &flags_, masks_.fluid);
-                break;
-            case KernelTier::Simd:
-                lbm::streamCollideIntervals(src_, dst_, fluidRuns(), op, simd_);
-                break;
-            case KernelTier::Aa:
-                lbm::aaStreamCollide(src_, parity, op, &flags_, masks_.fluid);
-                break;
-            case KernelTier::AaSimd:
-                lbm::aaCollideIntervals(src_, parity, fluidRuns(), op, simdAa_);
-                break;
-        }
-    }
-
-    const lbm::FluidRunList& fluidRuns() {
-        if (!runs_)
-            runs_ = std::make_unique<lbm::FluidRunList>(
-                lbm::buildFluidRuns(flags_, masks_.fluid));
-        return *runs_;
     }
 
     Config cfg_;
@@ -233,11 +257,9 @@ private:
     field::FlagField flags_;
     lbm::BoundaryFlags masks_;
     std::unique_ptr<lbm::BoundaryHandling<M>> boundary_;
-    std::unique_ptr<lbm::FluidRunList> runs_;
-    lbm::KernelD3Q19Simd<> simd_;
-    lbm::KernelAaSimd<> simdAa_;
+    lbm::FluidRunList runs_; ///< built by finalize()
+    SimdKernels kernels_;
     std::uint64_t currentStep_ = 0;
-    uint_t fluidCells_ = 0;
     TimingPool timing_;
     obs::MetricsRegistry metrics_;
     obs::TraceRecorder trace_;

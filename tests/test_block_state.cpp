@@ -163,7 +163,10 @@ TEST_P(BlockStateSentinel, CheckpointLoadRestoresOnlyThePayload) {
     const auto [tier, ranks] = GetParam();
     const Scenario sc(ranks);
     const std::uint64_t want = referenceDigest(sc, tier, kSteps);
-    const std::string path = testing::TempDir() + "/walb_block_state_sentinel.wckp";
+    // One file per case: ctest runs the cases as parallel processes.
+    const std::string path = testing::TempDir() + "/walb_block_state_sentinel_t" +
+                             std::to_string(int(tier)) + "_r" + std::to_string(ranks) +
+                             ".wckp";
     vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
         sim::DistributedSimulation s(comm, sc.setup, sc.flags, tier);
         sc.configure(s);

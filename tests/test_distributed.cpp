@@ -114,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::string name = std::to_string(p.blocksPerAxis) + "x_ranks" +
                            std::to_string(p.ranks) + (p.graphBalance ? "_graph" : "_morton");
         name += p.tier == KernelTier::Simd ? "_simd"
-              : p.tier == KernelTier::Generic ? "_generic" : "_celllist";
+              : p.tier == KernelTier::Generic ? "_generic" : "_d3q19";
         return name;
     });
 

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "DumpDir.h"
 #include "core/BinaryIO.h"
 #include "core/Buffer.h"
 #include "core/Crc32.h"
@@ -496,7 +497,9 @@ TEST(HealthMonitorTest, SeededNaNIsCaughtAndEmergencyCheckpointed) {
     std::remove(emergency.c_str());
     auto setup = makeCavitySetup(1);
     vmpi::SerialComm comm;
+    const testutil::DumpDir dumps("walb_nan_emergency_dumps");
     sim::DistributedSimulation simulation(comm, setup, cavityFlags(1));
+    simulation.setFlightRecorderDumpPrefix(dumps.prefix());
     simulation.setWallVelocity({0.03, 0, 0});
     sim::HealthPolicy policy;
     policy.checkEvery = 2;
@@ -528,7 +531,9 @@ TEST(HealthMonitorTest, SeededNaNIsCaughtAndEmergencyCheckpointed) {
 TEST(HealthMonitorTest, MassLeakIsCaught) {
     auto setup = makeCavitySetup(1);
     vmpi::SerialComm comm;
+    const testutil::DumpDir dumps("walb_mass_leak_dumps");
     sim::DistributedSimulation simulation(comm, setup, cavityFlags(1));
+    simulation.setFlightRecorderDumpPrefix(dumps.prefix());
     simulation.setWallVelocity({0.03, 0, 0});
     sim::HealthPolicy policy;
     policy.checkEvery = 2;
@@ -557,9 +562,11 @@ TEST(HealthMonitorTest, VerdictIsIdenticalOnAllRanks) {
     // stepping a diverged lattice.
     auto setup = makeCavitySetup(4);
     auto flagInit = cavityFlags(4);
+    const testutil::DumpDir dumps("walb_health_verdict_dumps");
     std::atomic<int> threw{0};
     vmpi::ThreadCommWorld::launch(4, [&](vmpi::Comm& comm) {
         sim::DistributedSimulation simulation(comm, setup, flagInit);
+        simulation.setFlightRecorderDumpPrefix(dumps.prefix());
         simulation.setWallVelocity({0.03, 0, 0});
         sim::HealthPolicy policy;
         policy.checkEvery = 2;
@@ -594,11 +601,13 @@ TEST(FaultDrill, KilledRankTerminatesTheWorldStructurally) {
     plan.killRank = 2;
     plan.killAtStep = 12;
 
+    const testutil::DumpDir dumps("walb_fault_drill_dumps");
     std::atomic<int> structured{0};
     vmpi::ThreadCommWorld::launch(4, [&](vmpi::Comm& comm) {
         vmpi::FaultyComm faulty(comm, plan);
         faulty.setRecvDeadline(2000ms);
         sim::DistributedSimulation simulation(faulty, setup, flagInit);
+        simulation.setFlightRecorderDumpPrefix(dumps.prefix());
         simulation.setWallVelocity({0.03, 0, 0});
         simulation.setPreStepCallback(
             [&](std::uint64_t step) { faulty.beginStep(step); });

@@ -17,6 +17,7 @@
 #include <set>
 #include <vector>
 
+#include "DumpDir.h"
 #include "core/Buffer.h"
 #include "rebalance/LoadModel.h"
 #include "rebalance/Migrator.h"
@@ -445,11 +446,13 @@ TEST(FaultDrill, RestartFromPostMigrationCheckpointMatchesUninterrupted) {
     plan.killRank = 2;
     plan.killAtStep = 17;
 
+    const testutil::DumpDir dumps("walb_rebalance_drill_dumps");
     std::atomic<int> structured{0};
     vmpi::ThreadCommWorld::launch(int(ranks), [&](vmpi::Comm& comm) {
         vmpi::FaultyComm faulty(comm, plan);
         faulty.setRecvDeadline(2000ms);
         sim::DistributedSimulation simulation(faulty, setup, flagInit);
+        simulation.setFlightRecorderDumpPrefix(dumps.prefix());
         simulation.setWallVelocity({0.03, 0, 0});
         simulation.setPreStepCallback(
             [&](std::uint64_t step) { faulty.beginStep(step); });
