@@ -40,6 +40,23 @@ std::vector<double> logHistogramEdges(double lo, double hi, unsigned perDecade) 
     return edges;
 }
 
+std::vector<int> StragglerHold::apply(const std::vector<int>& flagged,
+                                      const std::vector<int>& participants) {
+    std::map<int, unsigned> next;
+    for (int id : participants) {
+        const bool flaggedNow = std::find(flagged.begin(), flagged.end(), id) != flagged.end();
+        const auto held = cleanRuns_.find(id);
+        if (flaggedNow) next[id] = 0;
+        else if (held != cleanRuns_.end() && held->second + 1 < clearAfter_)
+            next[id] = held->second + 1;
+    }
+    cleanRuns_ = std::move(next);
+    std::vector<int> out;
+    out.reserve(cleanRuns_.size());
+    for (const auto& [id, clean] : cleanRuns_) out.push_back(id);
+    return out;
+}
+
 StragglerVerdict StragglerDetector::judge(std::vector<double> ewmaByRank,
                                           std::uint64_t step) const {
     StragglerVerdict v;
@@ -72,6 +89,9 @@ StragglerVerdict StragglerDetector::detect(vmpi::Comm& comm, std::uint64_t step)
         ewmaByRank.push_back(e);
     }
     StragglerVerdict v = judge(std::move(ewmaByRank), step);
+    std::vector<int> ranks(v.ewmaByRank.size());
+    for (std::size_t r = 0; r < ranks.size(); ++r) ranks[r] = int(r);
+    v.stragglers = hold_.apply(v.stragglers, ranks);
     lastImbalance_ = v.median > 0 ? ewma_ / v.median : 1.0;
     return v;
 }

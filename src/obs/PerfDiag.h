@@ -17,8 +17,14 @@
 /// absolute jitter from firing when the fleet is nearly noise-free
 /// (MAD ~ 0). Every rank computes the identical verdict from the identical
 /// allgathered data — the detection is collectively deterministic.
+///
+/// A flag then has hysteresis (StragglerHold): it stays set until the rank
+/// passes kHoldEpochs consecutive judgments unflagged. Host noise on the
+/// fast ranks widens the MAD for an epoch or two, which would otherwise let
+/// a persistent straggler's flag flap off and on.
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 namespace walb::vmpi {
@@ -57,14 +63,36 @@ struct StragglerVerdict {
     }
 };
 
+/// Hysteresis over successive straggler judgments: a flagged id stays
+/// flagged until `clearAfter` consecutive judgments that do not flag it
+/// (1 = no hysteresis). Ids are caller-defined (ranks, dump indices).
+class StragglerHold {
+public:
+    explicit StragglerHold(unsigned clearAfter) : clearAfter_(clearAfter) {}
+
+    /// Folds one judgment in: `flagged` are the ids it flagged, all of them
+    /// among `participants`, the ids it judged. Returns, ascending, the
+    /// flagged ids plus the participants whose flag is still held; an id
+    /// that did not take part loses its hold.
+    std::vector<int> apply(const std::vector<int>& flagged,
+                           const std::vector<int>& participants);
+
+private:
+    unsigned clearAfter_;
+    std::map<int, unsigned> cleanRuns_; ///< held id -> clean judgments since
+};
+
 class StragglerDetector {
 public:
+    /// Consecutive unflagged epochs that clear a flag (see the file comment).
+    static constexpr unsigned kHoldEpochs = 3;
+
     /// `alpha` is the EWMA weight of the newest step (same convention as
     /// rebalance::LoadModel). `relThreshold`/`madK` gate the verdict; see
     /// the file comment.
     explicit StragglerDetector(double alpha = 0.3, double relThreshold = 1.5,
                                double madK = 3.0)
-        : alpha_(alpha), relThreshold_(relThreshold), madK_(madK) {}
+        : alpha_(alpha), relThreshold_(relThreshold), madK_(madK), hold_(kHoldEpochs) {}
 
     double alpha() const { return alpha_; }
     double relThreshold() const { return relThreshold_; }
@@ -84,18 +112,20 @@ public:
     /// contribution" stored in the flight recorder.
     double lastImbalance() const { return lastImbalance_; }
 
-    /// Collective: allgathers every rank's EWMA, computes median/MAD and the
-    /// straggler set. Every rank receives the identical verdict.
+    /// Collective: allgathers every rank's EWMA, judges it and folds the
+    /// judgment into the hold, so the straggler set keeps every rank whose
+    /// flag is still held. Every rank receives the identical verdict.
     StragglerVerdict detect(vmpi::Comm& comm, std::uint64_t step);
 
     /// Pure decision core, testable without a communicator: applies the
-    /// median/MAD thresholds to an already-gathered EWMA vector.
+    /// median/MAD thresholds to an already-gathered EWMA vector (no hold).
     StragglerVerdict judge(std::vector<double> ewmaByRank, std::uint64_t step) const;
 
 private:
     double alpha_;
     double relThreshold_;
     double madK_;
+    StragglerHold hold_;
     double ewma_ = 0.0;
     bool haveSample_ = false;
     double lastImbalance_ = 1.0;

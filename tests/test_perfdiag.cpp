@@ -247,6 +247,41 @@ TEST(StragglerDetector, EwmaSeedsOnFirstSampleThenSmooths) {
     EXPECT_DOUBLE_EQ(d.lastImbalance(), 1.0); // no detection epoch yet
 }
 
+// ---- StragglerHold: flag hysteresis ---------------------------------------
+
+TEST(StragglerHold, FlagClearsOnlyAfterEnoughCleanJudgments) {
+    obs::StragglerHold hold(3);
+    const std::vector<int> all{0, 1, 2, 3};
+    EXPECT_EQ(hold.apply({}, all), std::vector<int>{});
+    EXPECT_EQ(hold.apply({2}, all), std::vector<int>{2});
+    EXPECT_EQ(hold.apply({}, all), std::vector<int>{2}); // 1 clean: held
+    EXPECT_EQ(hold.apply({}, all), std::vector<int>{2}); // 2 clean: held
+    EXPECT_EQ(hold.apply({}, all), std::vector<int>{});  // 3 clean: cleared
+    // A fresh flag restarts the count.
+    EXPECT_EQ(hold.apply({1}, all), std::vector<int>{1});
+    EXPECT_EQ(hold.apply({}, all), std::vector<int>{1});
+    EXPECT_EQ(hold.apply({1, 3}, all), (std::vector<int>{1, 3}));
+    EXPECT_EQ(hold.apply({}, all), (std::vector<int>{1, 3}));
+    EXPECT_EQ(hold.apply({}, all), (std::vector<int>{1, 3}));
+    EXPECT_EQ(hold.apply({}, all), std::vector<int>{});
+}
+
+TEST(StragglerHold, ClearAfterOnePassesJudgmentsThrough) {
+    obs::StragglerHold hold(1);
+    const std::vector<int> all{0, 1, 2};
+    EXPECT_EQ(hold.apply({1}, all), std::vector<int>{1});
+    EXPECT_EQ(hold.apply({}, all), std::vector<int>{});
+    EXPECT_EQ(hold.apply({0, 2}, all), (std::vector<int>{0, 2}));
+}
+
+TEST(StragglerHold, AnIdThatStopsParticipatingLosesItsHold) {
+    obs::StragglerHold hold(3);
+    EXPECT_EQ(hold.apply({3}, {0, 1, 2, 3}), std::vector<int>{3});
+    // Rank 3 left the world (a shrink): its flag is not carried over.
+    EXPECT_EQ(hold.apply({}, {0, 1, 2}), std::vector<int>{});
+    EXPECT_EQ(hold.apply({}, {0, 1, 2, 3}), std::vector<int>{});
+}
+
 // ---- StragglerDetector: collective detect() --------------------------------
 
 TEST(StragglerDetector, DetectAgreesOnEveryRank) {
@@ -264,6 +299,37 @@ TEST(StragglerDetector, DetectAgreesOnEveryRank) {
         EXPECT_NEAR(d.lastImbalance(), comm.rank() == 2 ? 3.0 : 1.0, 1e-9);
     });
     EXPECT_EQ(flaggedVerdicts.load(), 4); // the verdict is identical everywhere
+}
+
+TEST(StragglerDetector, DetectHoldsAFlagThroughANoisyEpoch) {
+    std::atomic<int> agreeing{0};
+    vmpi::ThreadCommWorld::launch(4, [&](vmpi::Comm& comm) {
+        // alpha = 1: the EWMA is the newest sample, so each epoch judges
+        // exactly the seconds recorded before it.
+        obs::StragglerDetector d(1.0);
+        // Epoch 1: rank 1 at 2x a uniform fleet.
+        d.record(comm.rank() == 1 ? 2e-3 : 1e-3);
+        const auto first = d.detect(comm, 5);
+        // Epoch 2: rank 1 still 2x, but rank 3 jitters up to 1.6x. The
+        // median is 1.3e-3 and MAD 0.3e-3, so 2e-3 sits inside the
+        // noisy fleet's spread.
+        const double second[] = {1.0e-3, 2.0e-3, 1.0e-3, 1.6e-3};
+        d.record(second[comm.rank()]);
+        const auto noisy = d.detect(comm, 10);
+        EXPECT_TRUE(d.judge(noisy.ewmaByRank, 10).stragglers.empty());
+        // A uniform fleet from epoch 3 on: rank 1's flag is still held in
+        // its second clean epoch in a row and cleared in the third.
+        d.record(1e-3);
+        const auto held = d.detect(comm, 15);
+        d.record(1e-3);
+        const auto clean = d.detect(comm, 20);
+        static_assert(obs::StragglerDetector::kHoldEpochs == 3);
+        if (first.stragglers == std::vector<int>{1} &&
+            noisy.stragglers == std::vector<int>{1} &&
+            held.stragglers == std::vector<int>{1} && clean.stragglers.empty())
+            ++agreeing;
+    });
+    EXPECT_EQ(agreeing.load(), 4);
 }
 
 // ---- end-to-end: throttled rank through DistributedSimulation --------------

@@ -162,9 +162,10 @@ struct TimelinePoint {
     obs::StragglerVerdict verdict;
 };
 
-/// Re-runs the live detector's EWMA + median/MAD judgment over the recorded
-/// per-step times of all ranks: the post-mortem equivalent of what
-/// enableStragglerDetection computes in-flight. Like the live detector it
+/// Re-runs the live detector's EWMA + median/MAD judgment and flag hold over
+/// the recorded per-step times of all ranks: the post-mortem equivalent of
+/// what enableStragglerDetection computes in-flight, judged every step
+/// rather than every detectEvery steps. Like the live detector it
 /// smooths each rank's *work* share (step minus exchange wait) — bulk
 /// synchronization equalizes total step times across ranks, a straggler is
 /// only visible in the non-wait share.
@@ -180,6 +181,7 @@ std::vector<TimelinePoint> stragglerTimeline(const std::vector<LoadedDump>& dump
             byStep[s.step][i] = std::max(s.totalSeconds - s.exchangeSeconds, 0.0);
 
     const obs::StragglerDetector judge;
+    obs::StragglerHold hold(obs::StragglerDetector::kHoldEpochs);
     std::vector<double> ewma(dumps.size(), 0.0);
     std::vector<bool> seeded(dumps.size(), false);
     for (const auto& [step, perRank] : byStep) {
@@ -203,6 +205,8 @@ std::vector<TimelinePoint> stragglerTimeline(const std::vector<LoadedDump>& dump
         p.participants = perRank.size();
         p.verdict = judge.judge(live, step);
         for (int& i : p.verdict.stragglers) i = int(who[std::size_t(i)]);
+        p.verdict.stragglers = hold.apply(
+            p.verdict.stragglers, std::vector<int>(who.begin(), who.end()));
         timeline.push_back(std::move(p));
     }
     return timeline;
